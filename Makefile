@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-fixtures check bench bench-gate smoke scenarios race-scenarios ci cover clean
+.PHONY: all build test race vet lint lint-fixtures check bench bench-gate smoke scenarios race-scenarios fuzz loc ci cover clean
 
 all: build test
 
@@ -112,6 +112,19 @@ scenarios:
 # runtime well past the PR budget).
 race-scenarios:
 	$(GO) test -race -count=1 ./internal/scenario
+
+# The hibernation decoder's fuzz target beyond its seed corpus: whatever
+# bytes arrive, rehydration returns an error or a usable tenant — never
+# a panic, a hang or an unbounded allocation. Nightly runs it for 10m.
+FUZZTIME ?= 60s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzHibernateDecode -fuzztime $(FUZZTIME) ./internal/fleet
+
+# The tracked size of the system (ROADMAP item 3): non-test Go lines
+# outside bench/. CI writes it to the job summary; a PR quotes the delta.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # The single CI entry point: everything the workflow runs, runnable
 # locally with one command.

@@ -100,10 +100,10 @@ func unitPkgPath(u *Unit) string { return strings.TrimSuffix(u.Path, ".test") }
 // --- per-function taint scan ------------------------------------------
 
 type detScan struct {
-	pass    *ProgramPass
-	prog    *Program
-	node    *FuncNode
-	info    *types.Info
+	pass     *ProgramPass
+	prog     *Program
+	node     *FuncNode
+	info     *types.Info
 	taint    map[types.Object]*taintInfo
 	ranges   [][2]token.Pos // body spans of range-over-map statements
 	changed  bool
@@ -378,7 +378,7 @@ func (sc *detScan) sortedAfter(target string, from token.Pos) bool {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < from || !sc.isSort(call) {
+		if !ok || call.Pos() < from || !isSortCall(sc.info, call) {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -390,32 +390,6 @@ func (sc *detScan) sortedAfter(target string, from token.Pos) bool {
 		return true
 	})
 	return found
-}
-
-func (sc *detScan) isSort(call *ast.CallExpr) bool {
-	if path, name, ok := pkgFunc(sc.info, call); ok {
-		switch path {
-		case "sort":
-			switch name {
-			case "Strings", "Ints", "Float64s", "Slice", "SliceStable", "Sort", "Stable":
-				return true
-			}
-		case "slices":
-			switch name {
-			case "Sort", "SortFunc", "SortStableFunc":
-				return true
-			}
-		}
-		return false
-	}
-	if fn, _ := methodOf(sc.info, call); fn != nil {
-		return fn.Name() == "Sort"
-	}
-	// Module sort helpers by convention: sortUint64(out) and friends.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		return strings.HasPrefix(id.Name, "sort") || strings.HasPrefix(id.Name, "Sort")
-	}
-	return false
 }
 
 // returnTaint reports whether any return value of the node is tainted.

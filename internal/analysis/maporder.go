@@ -249,7 +249,7 @@ func sortedAfter(pass *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt, target 
 		if !ok || call.Pos() < rs.End() {
 			return true
 		}
-		if !isSortCall(pass, call) {
+		if !isSortCall(pass.Info, call) {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -263,8 +263,10 @@ func sortedAfter(pass *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt, target 
 	return found
 }
 
-func isSortCall(pass *Pass, call *ast.CallExpr) bool {
-	if path, name, ok := pkgFunc(pass.Info, call); ok {
+// isSortCall is the one list of calls that maporder and detflow both
+// credit with erasing map iteration order from their arguments.
+func isSortCall(info *types.Info, call *ast.CallExpr) bool {
+	if path, name, ok := pkgFunc(info, call); ok {
 		switch path {
 		case "sort":
 			switch name {
@@ -281,10 +283,8 @@ func isSortCall(pass *Pass, call *ast.CallExpr) bool {
 	}
 	// A method literally named Sort on anything (e.g. a keyed result
 	// set with its own canonical order) also counts.
-	if fn, _ := methodOf(pass.Info, call); fn != nil && fn.Name() == "Sort" {
-		return true
-	}
-	return false
+	fn, _ := methodOf(info, call)
+	return fn != nil && fn.Name() == "Sort"
 }
 
 func dedupe(in []string) []string {

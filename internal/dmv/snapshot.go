@@ -1,121 +1,61 @@
 package dmv
 
 import (
-	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"autoindex/internal/snap"
 )
 
-// EncodeTo serializes the missing-index store (entries in ascending
-// candidate-key order plus the reset counter) for tenant hibernation.
+// walkEntry is the snapshot layout of one missing-index DMV row.
+func walkEntry(c snap.Codec, e *Entry) {
+	c.String(&e.Candidate.Table)
+	c.Strings(&e.Candidate.Equality)
+	c.Strings(&e.Candidate.Inequality)
+	c.Strings(&e.Candidate.Include)
+	c.Varint(&e.Seeks)
+	c.Float(&e.AvgQueryCost)
+	c.Float(&e.AvgImprovementPct)
+	snap.Map(c, &e.QueryHashes, func(c snap.Codec, h *uint64, n *int64) {
+		c.Uvarint(h)
+		c.Varint(n)
+	})
+	c.Time(&e.FirstSeen)
+	c.Time(&e.LastSeen)
+}
+
+// walkMissingIndex is the missing-index store's snapshot layout: the
+// reset counter, then the entries in ascending candidate-key order. The
+// key is not on the wire; decoding derives it from the candidate.
+func walkMissingIndex(c snap.Codec, resets *int64, entries *map[string]*Entry) {
+	c.Varint(resets)
+	snap.Map(c, entries, func(c snap.Codec, k *string, ep **Entry) {
+		walkEntry(c, snap.Ptr(c, ep))
+		if c.Decoding() {
+			*k = (*ep).Candidate.Key()
+		}
+	})
+}
+
+// EncodeTo serializes the missing-index store for tenant hibernation.
 func (s *MissingIndexStore) EncodeTo(w *snap.Writer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w.Varint(s.resets)
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e := s.entries[k]
-		w.String(e.Candidate.Table)
-		encodeStrings(w, e.Candidate.Equality)
-		encodeStrings(w, e.Candidate.Inequality)
-		encodeStrings(w, e.Candidate.Include)
-		w.Varint(e.Seeks)
-		w.Float(e.AvgQueryCost)
-		w.Float(e.AvgImprovementPct)
-		hashes := make([]uint64, 0, len(e.QueryHashes))
-		for h := range e.QueryHashes {
-			hashes = append(hashes, h)
-		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-		w.Uvarint(uint64(len(hashes)))
-		for _, h := range hashes {
-			w.Uvarint(h)
-			w.Varint(e.QueryHashes[h])
-		}
-		w.Varint(e.FirstSeen.UnixNano())
-		w.Varint(e.LastSeen.UnixNano())
-	}
+	walkMissingIndex(snap.Encoder(w), &s.resets, &s.entries)
 }
 
-// DecodeFrom replaces the store's state with the decoded snapshot,
-// restoring in place so recommender references stay valid.
-func (s *MissingIndexStore) DecodeFrom(r *snap.Reader) error {
-	resets, err := r.Varint()
-	if err != nil {
-		return err
+// DecodeFrom decodes a snapshot into staged state and returns the commit
+// that swaps it into the store in place, so recommender references stay
+// valid. The store is untouched until commit runs; the caller runs it
+// only after r.Err() has vouched for the whole snapshot.
+func (s *MissingIndexStore) DecodeFrom(r *snap.Reader) (commit func()) {
+	var resets int64
+	var entries map[string]*Entry
+	walkMissingIndex(snap.Decoder(r), &resets, &entries)
+	return func() {
+		s.mu.Lock()
+		s.entries, s.resets = entries, resets
+		s.mu.Unlock()
 	}
-	n, err := r.Len()
-	if err != nil {
-		return err
-	}
-	entries := make(map[string]*Entry, n)
-	for i := 0; i < n; i++ {
-		e := &Entry{}
-		if e.Candidate.Table, err = r.String(); err != nil {
-			return err
-		}
-		if e.Candidate.Equality, err = decodeStrings(r); err != nil {
-			return err
-		}
-		if e.Candidate.Inequality, err = decodeStrings(r); err != nil {
-			return err
-		}
-		if e.Candidate.Include, err = decodeStrings(r); err != nil {
-			return err
-		}
-		if e.Seeks, err = r.Varint(); err != nil {
-			return err
-		}
-		if e.AvgQueryCost, err = r.Float(); err != nil {
-			return err
-		}
-		if e.AvgImprovementPct, err = r.Float(); err != nil {
-			return err
-		}
-		nh, err := r.Len()
-		if err != nil {
-			return err
-		}
-		e.QueryHashes = make(map[uint64]int64, nh)
-		for j := 0; j < nh; j++ {
-			h, err := r.Uvarint()
-			if err != nil {
-				return err
-			}
-			c, err := r.Varint()
-			if err != nil {
-				return err
-			}
-			e.QueryHashes[h] = c
-		}
-		var ns int64
-		if ns, err = r.Varint(); err != nil {
-			return err
-		}
-		e.FirstSeen = time.Unix(0, ns).UTC()
-		if ns, err = r.Varint(); err != nil {
-			return err
-		}
-		e.LastSeen = time.Unix(0, ns).UTC()
-		k := e.Candidate.Key()
-		if _, dup := entries[k]; dup {
-			return fmt.Errorf("dmv: %w: duplicate candidate %q", snap.ErrCorrupt, k)
-		}
-		entries[k] = e
-	}
-	s.mu.Lock()
-	s.entries = entries
-	s.resets = resets
-	s.mu.Unlock()
-	return nil
 }
 
 // Release drops accumulated candidates while keeping the store shell.
@@ -125,70 +65,45 @@ func (s *MissingIndexStore) Release() {
 	s.mu.Unlock()
 }
 
-// EncodeTo serializes index-usage rows in ascending index-name order.
+// walkUsage is the snapshot layout of one index-usage row.
+func walkUsage(c snap.Codec, e *IndexUsage) {
+	c.String(&e.Index)
+	c.String(&e.Table)
+	c.Varint(&e.Seeks)
+	c.Varint(&e.Scans)
+	c.Varint(&e.Lookups)
+	c.Varint(&e.Updates)
+	c.Time(&e.LastRead)
+}
+
+// walkIndexUsage is the usage store's snapshot layout: rows in ascending
+// lower-cased index name, which decoding derives from the row.
+func walkIndexUsage(c snap.Codec, entries *map[string]*IndexUsage) {
+	snap.Map(c, entries, func(c snap.Codec, k *string, ep **IndexUsage) {
+		walkUsage(c, snap.Ptr(c, ep))
+		if c.Decoding() {
+			*k = strings.ToLower((*ep).Index)
+		}
+	})
+}
+
+// EncodeTo serializes the index-usage rows for tenant hibernation.
 func (s *IndexUsageStore) EncodeTo(w *snap.Writer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e := s.entries[k]
-		w.String(e.Index)
-		w.String(e.Table)
-		w.Varint(e.Seeks)
-		w.Varint(e.Scans)
-		w.Varint(e.Lookups)
-		w.Varint(e.Updates)
-		w.Varint(e.LastRead.UnixNano())
-	}
+	walkIndexUsage(snap.Encoder(w), &s.entries)
 }
 
-// DecodeFrom replaces the store's rows with the decoded snapshot.
-func (s *IndexUsageStore) DecodeFrom(r *snap.Reader) error {
-	n, err := r.Len()
-	if err != nil {
-		return err
+// DecodeFrom decodes a snapshot into staged rows and returns the commit
+// that swaps them in; see MissingIndexStore.DecodeFrom.
+func (s *IndexUsageStore) DecodeFrom(r *snap.Reader) (commit func()) {
+	var entries map[string]*IndexUsage
+	walkIndexUsage(snap.Decoder(r), &entries)
+	return func() {
+		s.mu.Lock()
+		s.entries = entries
+		s.mu.Unlock()
 	}
-	entries := make(map[string]*IndexUsage, n)
-	for i := 0; i < n; i++ {
-		e := &IndexUsage{}
-		if e.Index, err = r.String(); err != nil {
-			return err
-		}
-		if e.Table, err = r.String(); err != nil {
-			return err
-		}
-		if e.Seeks, err = r.Varint(); err != nil {
-			return err
-		}
-		if e.Scans, err = r.Varint(); err != nil {
-			return err
-		}
-		if e.Lookups, err = r.Varint(); err != nil {
-			return err
-		}
-		if e.Updates, err = r.Varint(); err != nil {
-			return err
-		}
-		var ns int64
-		if ns, err = r.Varint(); err != nil {
-			return err
-		}
-		e.LastRead = time.Unix(0, ns).UTC()
-		k := strings.ToLower(e.Index)
-		if _, dup := entries[k]; dup {
-			return fmt.Errorf("dmv: %w: duplicate usage row %q", snap.ErrCorrupt, k)
-		}
-		entries[k] = e
-	}
-	s.mu.Lock()
-	s.entries = entries
-	s.mu.Unlock()
-	return nil
 }
 
 // Release drops accumulated rows while keeping the store shell.
@@ -196,25 +111,4 @@ func (s *IndexUsageStore) Release() {
 	s.mu.Lock()
 	s.entries = nil
 	s.mu.Unlock()
-}
-
-func encodeStrings(w *snap.Writer, ss []string) {
-	w.Uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		w.String(s)
-	}
-}
-
-func decodeStrings(r *snap.Reader) ([]string, error) {
-	n, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, n)
-	for i := range out {
-		if out[i], err = r.String(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -116,6 +116,26 @@ func DefaultConfig(name string, tier Tier, seed int64) Config {
 	return cfg
 }
 
+// dbState is the part of a Database that tenant hibernation persists
+// (beside the two RNG stream positions), in snapshot order; see
+// dbState.walk. All of it is guarded by Database.mu.
+type dbState struct {
+	// dataVersion counts data-modifying statements; statsVersion records
+	// the data version each column statistic was built at, so a rebuild
+	// over unchanged data can be skipped (the name-keyed stats RNG stream
+	// makes the rebuild bit-identical anyway).
+	dataVersion   int64
+	execCount     int64
+	failovers     int64
+	schemaChanges int64
+	convoyBlocked int64
+	statsVersion  map[string]int64
+	tables        map[string]*tableData // lower(name)
+	indexes       map[string]*indexData // lower(name)
+	colStat       map[string]*stats.ColumnStats
+	planTxt       map[uint64]string // plan-cache: full text by query hash
+}
+
 // Database is one managed database instance.
 type Database struct {
 	cfg   Config
@@ -123,27 +143,18 @@ type Database struct {
 	rng   *sim.RNG
 	noise *sim.Noise
 
-	mu      sync.RWMutex
-	tables  map[string]*tableData // lower(name)
-	indexes map[string]*indexData // lower(name)
-	colStat map[string]*stats.ColumnStats
+	mu sync.RWMutex
+	dbState
 
 	// costCache memoizes what-if plan costs (see internal/costcache).
 	costCache *costcache.Cache
-	// dataVersion counts data-modifying statements; statsVersion records
-	// the data version each column statistic was built at, so a rebuild
-	// over unchanged data can be skipped (the name-keyed stats RNG stream
-	// makes the rebuild bit-identical anyway).
-	dataVersion  int64
-	statsVersion map[string]int64
 	// statsRefreshHook, when set, observes every real statistics rebuild.
 	statsRefreshHook func(table, column string)
 
-	qs      *querystore.Store
-	miDMV   *dmv.MissingIndexStore
-	usage   *dmv.IndexUsageStore
-	locks   *LockManager
-	planTxt map[uint64]string // plan-cache: full text by query hash
+	qs    *querystore.Store
+	miDMV *dmv.MissingIndexStore
+	usage *dmv.IndexUsageStore
+	locks *LockManager
 
 	bulkSources map[string]BulkSource
 	modules     *moduleCatalog
@@ -154,11 +165,6 @@ type Database struct {
 	// reg, when set, receives engine/optimizer metrics; nil disables
 	// them (every handle method is a no-op on nil).
 	reg *metrics.Registry
-
-	failovers     int64
-	schemaChanges int64
-	convoyBlocked int64
-	execCount     int64
 
 	// loadFactor multiplies measured CPU and duration (stored as
 	// math.Float64bits; 0 means unset, i.e. 1.0). Noisy-neighbor
@@ -185,22 +191,24 @@ func New(cfg Config, clock sim.Clock) *Database {
 	}
 	rng := sim.NewRNG(cfg.Seed).Child("engine/" + cfg.Name)
 	return &Database{
-		cfg:          cfg,
-		clock:        clock,
-		rng:          rng,
-		noise:        sim.NewNoise(rng, cfg.NoiseCV),
-		tables:       make(map[string]*tableData),
-		indexes:      make(map[string]*indexData),
-		colStat:      make(map[string]*stats.ColumnStats),
-		costCache:    costcache.New(0, clock),
-		statsVersion: make(map[string]int64),
-		qs:           querystore.New(clock, cfg.QueryStoreInterval),
-		miDMV:        dmv.NewMissingIndexStore(),
-		usage:        dmv.NewIndexUsageStore(),
-		locks:        NewLockManager(clock),
-		planTxt:      make(map[uint64]string),
-		bulkSources:  make(map[string]BulkSource),
-		modules:      newModuleCatalog(),
+		cfg:   cfg,
+		clock: clock,
+		rng:   rng,
+		noise: sim.NewNoise(rng, cfg.NoiseCV),
+		dbState: dbState{
+			statsVersion: make(map[string]int64),
+			tables:       make(map[string]*tableData),
+			indexes:      make(map[string]*indexData),
+			colStat:      make(map[string]*stats.ColumnStats),
+			planTxt:      make(map[uint64]string),
+		},
+		costCache:   costcache.New(0, clock),
+		qs:          querystore.New(clock, cfg.QueryStoreInterval),
+		miDMV:       dmv.NewMissingIndexStore(),
+		usage:       dmv.NewIndexUsageStore(),
+		locks:       NewLockManager(clock),
+		bulkSources: make(map[string]BulkSource),
+		modules:     newModuleCatalog(),
 	}
 }
 

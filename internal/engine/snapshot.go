@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"autoindex/internal/btree"
 	"autoindex/internal/schema"
@@ -34,109 +31,67 @@ const (
 	rowNil
 )
 
-// EncodeTo serializes the database's full mutable state in deterministic
-// order. Rows and objects physically shared with sc (the tenant's
-// archetype catalog) are written as references, which is both the
-// compactness and the re-aliasing half of copy-on-write hibernation; sc
-// may be nil, forcing everything inline. Runtime wiring — clock, config,
-// metrics registry, fault injector, stats hook, bulk sources, lock
-// manager, the Query Store shell — stays resident and is not serialized.
+// walk is the database's snapshot layout, in deterministic order: the
+// RNG and noise stream positions, the scalar counters, then each map in
+// ascending key order. Rows and objects physically shared with sc (the
+// tenant's archetype catalog) are written as references, which is both
+// the compactness and the re-aliasing half of copy-on-write hibernation;
+// sc may be nil, forcing everything inline. Runtime wiring — clock,
+// config, metrics registry, fault injector, stats hook, bulk sources,
+// lock manager, the Query Store shell — stays resident and is not
+// serialized.
+func (st *dbState) walk(c snap.Codec, rngPos, noisePos *uint64, sc *SharedCatalog) {
+	c.Uvarint(rngPos)
+	c.Uvarint(noisePos)
+	c.Varint(&st.dataVersion)
+	c.Varint(&st.execCount)
+	c.Varint(&st.failovers)
+	c.Varint(&st.schemaChanges)
+	c.Varint(&st.convoyBlocked)
+	snap.Map(c, &st.statsVersion, func(c snap.Codec, k *string, v *int64) {
+		c.String(k)
+		c.Varint(v)
+	})
+	snap.Map(c, &st.tables, func(c snap.Codec, k *string, tp **tableData) {
+		c.String(k)
+		if c.Decoding() {
+			*tp = decodeTable(c.Reader(), sc, *k)
+		} else {
+			encodeTable(c.Writer(), *tp, sc, *k)
+		}
+	})
+	snap.Map(c, &st.indexes, func(c snap.Codec, k *string, ixp **indexData) {
+		c.String(k)
+		walkIndex(c, snap.Ptr(c, ixp), *k, st.tables)
+	})
+	snap.Map(c, &st.colStat, func(c snap.Codec, k *string, sp **stats.ColumnStats) {
+		c.String(k)
+		shared := sc != nil && sc.stats[*k] == *sp // the encoder's answer; decoding reads the flag over it
+		c.Bool(&shared)
+		switch {
+		case !shared:
+			snap.Ptr(c, sp).Snap(c)
+		case c.Decoding():
+			if sc != nil {
+				*sp = sc.stats[*k]
+			}
+			if *sp == nil {
+				c.Reader().Failf("statistics %q reference a shared histogram outside its archetype", *k)
+			}
+		}
+	})
+	snap.Map(c, &st.planTxt, func(c snap.Codec, h *uint64, txt *string) {
+		c.Uvarint(h)
+		c.String(txt)
+	})
+}
+
+// EncodeTo serializes the database's full mutable state; see
+// dbState.walk for the layout and what sc shares.
 func (d *Database) EncodeTo(w *snap.Writer, sc *SharedCatalog) {
 	d.mu.RLock()
-	w.Uvarint(d.rng.Pos())
-	w.Uvarint(d.noise.Pos())
-	w.Varint(d.dataVersion)
-	w.Varint(d.execCount)
-	w.Varint(d.failovers)
-	w.Varint(d.schemaChanges)
-	w.Varint(d.convoyBlocked)
-
-	svKeys := make([]string, 0, len(d.statsVersion))
-	for k := range d.statsVersion {
-		svKeys = append(svKeys, k)
-	}
-	sort.Strings(svKeys)
-	w.Uvarint(uint64(len(svKeys)))
-	for _, k := range svKeys {
-		w.String(k)
-		w.Varint(d.statsVersion[k])
-	}
-
-	tKeys := make([]string, 0, len(d.tables))
-	for k := range d.tables {
-		tKeys = append(tKeys, k)
-	}
-	sort.Strings(tKeys)
-	w.Uvarint(uint64(len(tKeys)))
-	for _, k := range tKeys {
-		t := d.tables[k]
-		w.String(k)
-		sharedDef := sc != nil && sc.tables[k] == t.def
-		w.Bool(sharedDef)
-		if !sharedDef {
-			encodeTableDef(w, t.def)
-		}
-		w.Varint(t.rowCount)
-		w.Bool(t.clustered != nil)
-		if t.clustered != nil {
-			encodeTree(w, t.clustered, sc, k)
-		} else {
-			rows, free, rowWidth := t.heap.Dump()
-			w.Uvarint(uint64(rowWidth))
-			w.Uvarint(uint64(len(rows)))
-			for _, row := range rows {
-				encodeRow(w, row, sc, k)
-			}
-			w.Uvarint(uint64(len(free)))
-			for _, rid := range free {
-				w.Varint(int64(rid))
-			}
-		}
-	}
-
-	ixKeys := make([]string, 0, len(d.indexes))
-	for k := range d.indexes {
-		ixKeys = append(ixKeys, k)
-	}
-	sort.Strings(ixKeys)
-	w.Uvarint(uint64(len(ixKeys)))
-	for _, k := range ixKeys {
-		ix := d.indexes[k]
-		w.String(k)
-		encodeIndexDef(w, ix.def)
-		w.Varint(ix.createdAt.UnixNano())
-		w.Varint(ix.sizeBytes)
-		// Key/include ordinals are recomputed from the definitions on
-		// decode; entry keys and payloads are always tenant-private.
-		encodeTree(w, ix.tree, nil, "")
-	}
-
-	stKeys := make([]string, 0, len(d.colStat))
-	for k := range d.colStat {
-		stKeys = append(stKeys, k)
-	}
-	sort.Strings(stKeys)
-	w.Uvarint(uint64(len(stKeys)))
-	for _, k := range stKeys {
-		st := d.colStat[k]
-		w.String(k)
-		shared := sc != nil && sc.stats[k] == st
-		w.Bool(shared)
-		if !shared {
-			st.EncodeTo(w)
-		}
-	}
-
-	ptHashes := make([]uint64, 0, len(d.planTxt))
-	for h := range d.planTxt {
-		ptHashes = append(ptHashes, h)
-	}
-	sort.Slice(ptHashes, func(i, j int) bool { return ptHashes[i] < ptHashes[j] })
-	w.Uvarint(uint64(len(ptHashes)))
-	for _, h := range ptHashes {
-		w.Uvarint(h)
-		w.String(d.planTxt[h])
-	}
+	rngPos, noisePos := d.rng.Pos(), d.noise.Pos()
+	d.dbState.walk(snap.Encoder(w), &rngPos, &noisePos, sc)
 	d.mu.RUnlock()
 
 	d.qs.EncodeTo(w)
@@ -147,280 +102,29 @@ func (d *Database) EncodeTo(w *snap.Writer, sc *SharedCatalog) {
 // DecodeFrom rehydrates the database from an EncodeTo snapshot, restoring
 // in place: the Database object, its Query Store, DMV stores, lock
 // manager and cost cache shells all stay resident, so control-plane and
-// chaos-harness pointers into them remain valid. The whole snapshot is
-// decoded and validated before any state is swapped in; on error the
-// database is left unchanged.
+// chaos-harness pointers into them remain valid. The whole snapshot —
+// the stores' parts included — is decoded into staged state and
+// validated before anything is swapped in; on error the database and its
+// stores are left unchanged.
 func (d *Database) DecodeFrom(r *snap.Reader, sc *SharedCatalog) error {
-	rngPos, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	noisePos, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	dataVersion, err := r.Varint()
-	if err != nil {
-		return err
-	}
-	execCount, err := r.Varint()
-	if err != nil {
-		return err
-	}
-	failovers, err := r.Varint()
-	if err != nil {
-		return err
-	}
-	schemaChanges, err := r.Varint()
-	if err != nil {
-		return err
-	}
-	convoyBlocked, err := r.Varint()
-	if err != nil {
-		return err
-	}
-
-	nsv, err := r.Len()
-	if err != nil {
-		return err
-	}
-	statsVersion := make(map[string]int64, nsv)
-	for i := 0; i < nsv; i++ {
-		k, err := r.String()
-		if err != nil {
-			return err
-		}
-		v, err := r.Varint()
-		if err != nil {
-			return err
-		}
-		if _, dup := statsVersion[k]; dup {
-			return corruptState("duplicate stats version key %q", k)
-		}
-		statsVersion[k] = v
-	}
-
-	nt, err := r.Len()
-	if err != nil {
-		return err
-	}
-	tables := make(map[string]*tableData, nt)
-	for i := 0; i < nt; i++ {
-		k, err := r.String()
-		if err != nil {
-			return err
-		}
-		if _, dup := tables[k]; dup {
-			return corruptState("duplicate table %q", k)
-		}
-		sharedDef, err := r.Bool()
-		if err != nil {
-			return err
-		}
-		var def *schema.Table
-		if sharedDef {
-			if sc == nil || sc.tables[k] == nil {
-				return corruptState("table %q references a shared definition outside its archetype", k)
-			}
-			def = sc.tables[k]
-		} else {
-			if def, err = decodeTableDef(r); err != nil {
-				return err
-			}
-			if err := def.Validate(); err != nil {
-				return corruptState("table %q: %v", k, err)
-			}
-		}
-		if !strings.EqualFold(def.Name, k) {
-			return corruptState("table key %q names definition %q", k, def.Name)
-		}
-		rowCount, err := r.Varint()
-		if err != nil {
-			return err
-		}
-		clustered, err := r.Bool()
-		if err != nil {
-			return err
-		}
-		t := &tableData{def: def, rowCount: rowCount}
-		if clustered {
-			if len(def.PrimaryKey) == 0 {
-				return corruptState("table %q is clustered but has no primary key", k)
-			}
-			if t.clustered, err = decodeTree(r, sc, k); err != nil {
-				return err
-			}
-			if int64(t.clustered.Len()) != rowCount {
-				return corruptState("table %q row count %d != clustered entries %d", k, rowCount, t.clustered.Len())
-			}
-		} else {
-			rowWidth, err := r.Len()
-			if err != nil {
-				return err
-			}
-			nr, err := r.Len()
-			if err != nil {
-				return err
-			}
-			rows := make([]value.Row, nr)
-			for j := 0; j < nr; j++ {
-				if rows[j], err = decodeRow(r, sc, k); err != nil {
-					return err
-				}
-			}
-			nf, err := r.Len()
-			if err != nil {
-				return err
-			}
-			free := make([]storage.RID, nf)
-			for j := 0; j < nf; j++ {
-				rid, err := r.Varint()
-				if err != nil {
-					return err
-				}
-				free[j] = storage.RID(rid)
-			}
-			if t.heap, err = storage.Restore(rows, free, rowWidth); err != nil {
-				return corruptState("table %q: %v", k, err)
-			}
-			if t.heap.Len() != rowCount {
-				return corruptState("table %q row count %d != live heap rows %d", k, rowCount, t.heap.Len())
-			}
-		}
-		tables[k] = t
-	}
-
-	nix, err := r.Len()
-	if err != nil {
-		return err
-	}
-	indexes := make(map[string]*indexData, nix)
-	for i := 0; i < nix; i++ {
-		k, err := r.String()
-		if err != nil {
-			return err
-		}
-		if _, dup := indexes[k]; dup {
-			return corruptState("duplicate index %q", k)
-		}
-		def, err := decodeIndexDef(r)
-		if err != nil {
-			return err
-		}
-		if !strings.EqualFold(def.Name, k) {
-			return corruptState("index key %q names definition %q", k, def.Name)
-		}
-		t, ok := tables[strings.ToLower(def.Table)]
-		if !ok {
-			return corruptState("index %q references missing table %q", k, def.Table)
-		}
-		if err := def.Validate(t.def); err != nil {
-			return corruptState("index %q: %v", k, err)
-		}
-		createdNs, err := r.Varint()
-		if err != nil {
-			return err
-		}
-		sizeBytes, err := r.Varint()
-		if err != nil {
-			return err
-		}
-		ix := &indexData{
-			def:       def,
-			createdAt: time.Unix(0, createdNs).UTC(),
-			sizeBytes: sizeBytes,
-		}
-		for _, c := range def.KeyColumns {
-			ix.keyOrds = append(ix.keyOrds, t.def.ColumnIndex(c))
-		}
-		for _, c := range def.IncludedColumns {
-			ix.inclOrds = append(ix.inclOrds, t.def.ColumnIndex(c))
-		}
-		if ix.tree, err = decodeTree(r, nil, ""); err != nil {
-			return err
-		}
-		indexes[k] = ix
-	}
-
-	nst, err := r.Len()
-	if err != nil {
-		return err
-	}
-	colStat := make(map[string]*stats.ColumnStats, nst)
-	for i := 0; i < nst; i++ {
-		k, err := r.String()
-		if err != nil {
-			return err
-		}
-		if _, dup := colStat[k]; dup {
-			return corruptState("duplicate statistics key %q", k)
-		}
-		shared, err := r.Bool()
-		if err != nil {
-			return err
-		}
-		if shared {
-			st := (*stats.ColumnStats)(nil)
-			if sc != nil {
-				st = sc.stats[k]
-			}
-			if st == nil {
-				return corruptState("statistics %q reference a shared histogram outside its archetype", k)
-			}
-			colStat[k] = st
-		} else {
-			st, err := stats.DecodeStats(r)
-			if err != nil {
-				return err
-			}
-			colStat[k] = st
-		}
-	}
-
-	npt, err := r.Len()
-	if err != nil {
-		return err
-	}
-	planTxt := make(map[uint64]string, npt)
-	for i := 0; i < npt; i++ {
-		h, err := r.Uvarint()
-		if err != nil {
-			return err
-		}
-		txt, err := r.String()
-		if err != nil {
-			return err
-		}
-		if _, dup := planTxt[h]; dup {
-			return corruptState("duplicate plan-cache hash %d", h)
-		}
-		planTxt[h] = txt
-	}
-
-	if err := d.qs.DecodeFrom(r); err != nil {
-		return err
-	}
-	if err := d.miDMV.DecodeFrom(r); err != nil {
-		return err
-	}
-	if err := d.usage.DecodeFrom(r); err != nil {
+	var st dbState
+	var rngPos, noisePos uint64
+	st.walk(snap.Decoder(r), &rngPos, &noisePos, sc)
+	commitQS := d.qs.DecodeFrom(r)
+	commitMI := d.miDMV.DecodeFrom(r)
+	commitUsage := d.usage.DecodeFrom(r)
+	if err := r.Err(); err != nil {
 		return err
 	}
 
 	d.mu.Lock()
 	d.rng = sim.NewRNGAt(sim.DeriveSeed(d.cfg.Seed, "engine/"+d.cfg.Name), rngPos)
 	d.noise = sim.NewNoiseAt(d.rng, d.cfg.NoiseCV, noisePos)
-	d.dataVersion = dataVersion
-	d.execCount = execCount
-	d.failovers = failovers
-	d.schemaChanges = schemaChanges
-	d.convoyBlocked = convoyBlocked
-	d.statsVersion = statsVersion
-	d.tables = tables
-	d.indexes = indexes
-	d.colStat = colStat
-	d.planTxt = planTxt
+	d.dbState = st
 	d.mu.Unlock()
+	commitQS()
+	commitMI()
+	commitUsage()
 	return nil
 }
 
@@ -445,143 +149,149 @@ func (d *Database) Release() {
 	d.costCache.Reset()
 }
 
-func corruptState(format string, args ...interface{}) error {
-	return fmt.Errorf("engine: %w: %s", snap.ErrCorrupt, fmt.Sprintf(format, args...))
+func walkTableDef(c snap.Codec, def *schema.Table) {
+	c.String(&def.Name)
+	snap.Slice(c, &def.Columns, func(c snap.Codec, col *schema.Column) {
+		c.String(&col.Name)
+		snap.Enum(c, &col.Kind, value.Time)
+		c.Bool(&col.Nullable)
+		c.Int(&col.AvgWidth)
+	})
+	c.Strings(&def.PrimaryKey)
 }
 
-func encodeTableDef(w *snap.Writer, def *schema.Table) {
-	w.String(def.Name)
-	w.Uvarint(uint64(len(def.Columns)))
-	for _, c := range def.Columns {
-		w.String(c.Name)
-		w.Uvarint(uint64(c.Kind))
-		w.Bool(c.Nullable)
-		w.Varint(int64(c.AvgWidth))
+func walkIndexDef(c snap.Codec, def *schema.IndexDef) {
+	c.String(&def.Name)
+	c.String(&def.Table)
+	snap.Enum(c, &def.Kind, schema.Clustered)
+	c.Strings(&def.KeyColumns)
+	c.Strings(&def.IncludedColumns)
+	c.Bool(&def.Unique)
+	c.Bool(&def.Hypothetical)
+	c.Bool(&def.AutoCreated)
+	c.Bool(&def.Hinted)
+	c.Bool(&def.EnforcesConstraint)
+}
+
+// walkIndex is one secondary index's snapshot body. Key/include ordinals
+// are not written: decoding recomputes them from the definitions, after
+// checking the definition against the (already decoded) tables. Entry
+// keys and payloads are always tenant-private, so the tree is walked
+// with no shared catalog.
+func walkIndex(c snap.Codec, ix *indexData, k string, tables map[string]*tableData) {
+	walkIndexDef(c, &ix.def)
+	c.Time(&ix.createdAt)
+	c.Varint(&ix.sizeBytes)
+	if !c.Decoding() {
+		encodeTree(c.Writer(), ix.tree, nil, "")
+		return
 	}
-	w.Uvarint(uint64(len(def.PrimaryKey)))
-	for _, pk := range def.PrimaryKey {
-		w.String(pk)
+	r := c.Reader()
+	if ix.tree = decodeTree(r, nil, ""); ix.tree == nil {
+		return
+	}
+	if !strings.EqualFold(ix.def.Name, k) {
+		r.Failf("index key %q names definition %q", k, ix.def.Name)
+	}
+	t, ok := tables[strings.ToLower(ix.def.Table)]
+	if !ok {
+		r.Failf("index %q references missing table %q", k, ix.def.Table)
+		return
+	}
+	if err := ix.def.Validate(t.def); err != nil {
+		r.Failf("index %q: %v", k, err)
+	}
+	for _, col := range ix.def.KeyColumns {
+		ix.keyOrds = append(ix.keyOrds, t.def.ColumnIndex(col))
+	}
+	for _, col := range ix.def.IncludedColumns {
+		ix.inclOrds = append(ix.inclOrds, t.def.ColumnIndex(col))
 	}
 }
 
-func decodeTableDef(r *snap.Reader) (*schema.Table, error) {
-	def := &schema.Table{}
+// encodeTable writes one table: its definition (or a flag that it is the
+// archetype's), the row count, and the clustered tree or the heap.
+func encodeTable(w *snap.Writer, t *tableData, sc *SharedCatalog, k string) {
+	sharedDef := sc != nil && sc.tables[k] == t.def
+	w.Bool(sharedDef)
+	if !sharedDef {
+		walkTableDef(snap.Encoder(w), t.def)
+	}
+	w.Varint(t.rowCount)
+	w.Bool(t.clustered != nil)
+	if t.clustered != nil {
+		encodeTree(w, t.clustered, sc, k)
+		return
+	}
+	rows, free, rowWidth := t.heap.Dump()
+	w.Uvarint(uint64(rowWidth))
+	w.Uvarint(uint64(len(rows)))
+	for _, row := range rows {
+		encodeRow(w, row, sc, k)
+	}
+	w.Uvarint(uint64(len(free)))
+	for _, rid := range free {
+		w.Varint(int64(rid))
+	}
+}
+
+// decodeTable reads what encodeTable wrote and validates it — the
+// definition, its name against the key, the storage structure, and the
+// row count against the storage. It returns nil once r has failed.
+func decodeTable(r *snap.Reader, sc *SharedCatalog, k string) *tableData {
+	t := &tableData{}
+	if r.Bool() {
+		if sc != nil {
+			t.def = sc.tables[k]
+		}
+		if t.def == nil {
+			r.Failf("table %q references a shared definition outside its archetype", k)
+			return nil
+		}
+	} else {
+		t.def = &schema.Table{}
+		walkTableDef(snap.Decoder(r), t.def)
+		if err := t.def.Validate(); err != nil {
+			r.Failf("table %q: %v", k, err)
+		}
+	}
+	if !strings.EqualFold(t.def.Name, k) {
+		r.Failf("table key %q names definition %q", k, t.def.Name)
+	}
+	t.rowCount = r.Varint()
+	if r.Bool() {
+		if len(t.def.PrimaryKey) == 0 {
+			r.Failf("table %q is clustered but has no primary key", k)
+		}
+		if t.clustered = decodeTree(r, sc, k); t.clustered == nil {
+			return nil
+		}
+		if int64(t.clustered.Len()) != t.rowCount {
+			r.Failf("table %q row count %d != clustered entries %d", k, t.rowCount, t.clustered.Len())
+		}
+		return t
+	}
+	rowWidth := r.Uint()
+	rows := make([]value.Row, r.Len())
+	for j := range rows {
+		rows[j] = decodeRow(r, sc, k)
+	}
+	free := make([]storage.RID, r.Len())
+	for j := range free {
+		free[j] = storage.RID(r.Varint())
+	}
+	if r.Err() != nil {
+		return nil
+	}
 	var err error
-	if def.Name, err = r.String(); err != nil {
-		return nil, err
+	if t.heap, err = storage.Restore(rows, free, rowWidth); err != nil {
+		r.Failf("table %q: %v", k, err)
+		return nil
 	}
-	nc, err := r.Len()
-	if err != nil {
-		return nil, err
+	if t.heap.Len() != t.rowCount {
+		r.Failf("table %q row count %d != live heap rows %d", k, t.rowCount, t.heap.Len())
 	}
-	def.Columns = make([]schema.Column, nc)
-	for i := range def.Columns {
-		c := &def.Columns[i]
-		if c.Name, err = r.String(); err != nil {
-			return nil, err
-		}
-		kind, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if kind > uint64(value.Time) {
-			return nil, corruptState("unknown column kind %d", kind)
-		}
-		c.Kind = value.Kind(kind)
-		if c.Nullable, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		width, err := r.Varint()
-		if err != nil {
-			return nil, err
-		}
-		c.AvgWidth = int(width)
-	}
-	npk, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	def.PrimaryKey = make([]string, npk)
-	for i := range def.PrimaryKey {
-		if def.PrimaryKey[i], err = r.String(); err != nil {
-			return nil, err
-		}
-	}
-	return def, nil
-}
-
-func encodeIndexDef(w *snap.Writer, def schema.IndexDef) {
-	w.String(def.Name)
-	w.String(def.Table)
-	w.Uvarint(uint64(def.Kind))
-	w.Uvarint(uint64(len(def.KeyColumns)))
-	for _, c := range def.KeyColumns {
-		w.String(c)
-	}
-	w.Uvarint(uint64(len(def.IncludedColumns)))
-	for _, c := range def.IncludedColumns {
-		w.String(c)
-	}
-	w.Bool(def.Unique)
-	w.Bool(def.Hypothetical)
-	w.Bool(def.AutoCreated)
-	w.Bool(def.Hinted)
-	w.Bool(def.EnforcesConstraint)
-}
-
-func decodeIndexDef(r *snap.Reader) (schema.IndexDef, error) {
-	var def schema.IndexDef
-	var err error
-	if def.Name, err = r.String(); err != nil {
-		return def, err
-	}
-	if def.Table, err = r.String(); err != nil {
-		return def, err
-	}
-	kind, err := r.Uvarint()
-	if err != nil {
-		return def, err
-	}
-	if kind > uint64(schema.Clustered) {
-		return def, corruptState("unknown index kind %d", kind)
-	}
-	def.Kind = schema.IndexKind(kind)
-	nk, err := r.Len()
-	if err != nil {
-		return def, err
-	}
-	def.KeyColumns = make([]string, nk)
-	for i := range def.KeyColumns {
-		if def.KeyColumns[i], err = r.String(); err != nil {
-			return def, err
-		}
-	}
-	ni, err := r.Len()
-	if err != nil {
-		return def, err
-	}
-	def.IncludedColumns = make([]string, ni)
-	for i := range def.IncludedColumns {
-		if def.IncludedColumns[i], err = r.String(); err != nil {
-			return def, err
-		}
-	}
-	if def.Unique, err = r.Bool(); err != nil {
-		return def, err
-	}
-	if def.Hypothetical, err = r.Bool(); err != nil {
-		return def, err
-	}
-	if def.AutoCreated, err = r.Bool(); err != nil {
-		return def, err
-	}
-	if def.Hinted, err = r.Bool(); err != nil {
-		return def, err
-	}
-	if def.EnforcesConstraint, err = r.Bool(); err != nil {
-		return def, err
-	}
-	return def, nil
+	return t
 }
 
 // encodeRow writes one stored row, aliasing it into the shared catalog
@@ -602,53 +312,25 @@ func encodeRow(w *snap.Writer, row value.Row, sc *SharedCatalog, tableKey string
 	w.Row(row)
 }
 
-func decodeRow(r *snap.Reader, sc *SharedCatalog, tableKey string) (value.Row, error) {
-	tag, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+func decodeRow(r *snap.Reader, sc *SharedCatalog, tableKey string) value.Row {
+	switch tag := r.Uvarint(); tag {
 	case rowNil:
-		return nil, nil
 	case rowShared:
-		idx, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
+		idx := r.Uvarint()
 		var rows []value.Row
 		if sc != nil {
 			rows = sc.rows[tableKey]
 		}
-		if idx >= uint64(len(rows)) {
-			return nil, corruptState("shared row %d/%d for table %q", idx, len(rows), tableKey)
+		if idx < uint64(len(rows)) {
+			return rows[idx]
 		}
-		return rows[idx], nil
+		r.Failf("shared row %d/%d for table %q", idx, len(rows), tableKey)
 	case rowInline:
 		return r.Row()
 	default:
-		return nil, corruptState("unknown row tag %d", tag)
+		r.Failf("unknown row tag %d", tag)
 	}
-}
-
-func encodeKey(w *snap.Writer, k value.Key) {
-	w.Uvarint(uint64(len(k)))
-	for _, v := range k {
-		w.Value(v)
-	}
-}
-
-func decodeKey(r *snap.Reader) (value.Key, error) {
-	n, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	k := make(value.Key, n)
-	for i := range k {
-		if k[i], err = r.Value(); err != nil {
-			return nil, err
-		}
-	}
-	return k, nil
+	return nil
 }
 
 // encodeTree writes a B+ tree's exact node structure (deletes never
@@ -663,7 +345,7 @@ func encodeTree(w *snap.Writer, t *btree.Tree, sc *SharedCatalog, tableKey strin
 		w.Bool(n.Leaf)
 		w.Uvarint(uint64(len(n.Keys)))
 		for _, k := range n.Keys {
-			encodeKey(w, k)
+			w.Row(value.Row(k))
 		}
 		if n.Leaf {
 			for _, p := range n.Payloads {
@@ -678,62 +360,44 @@ func encodeTree(w *snap.Writer, t *btree.Tree, sc *SharedCatalog, tableKey strin
 	}
 }
 
-func decodeTree(r *snap.Reader, sc *SharedCatalog, tableKey string) (*btree.Tree, error) {
-	order, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	nn, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]btree.DumpedNode, nn)
+// decodeTree reads what encodeTree wrote, rebuilds the tree and checks
+// its invariants. It returns nil once r has failed.
+func decodeTree(r *snap.Reader, sc *SharedCatalog, tableKey string) *btree.Tree {
+	order := r.Uint()
+	nodes := make([]btree.DumpedNode, r.Len())
 	for i := range nodes {
 		n := &nodes[i]
-		if n.Leaf, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		nk, err := r.Len()
-		if err != nil {
-			return nil, err
-		}
-		n.Keys = make([]value.Key, nk)
+		n.Leaf = r.Bool()
+		n.Keys = make([]value.Key, r.Len())
 		for j := range n.Keys {
-			if n.Keys[j], err = decodeKey(r); err != nil {
-				return nil, err
-			}
+			n.Keys[j] = value.Key(r.Row())
 		}
 		if n.Leaf {
-			n.Payloads = make([]value.Row, nk)
+			n.Payloads = make([]value.Row, len(n.Keys))
 			for j := range n.Payloads {
-				if n.Payloads[j], err = decodeRow(r, sc, tableKey); err != nil {
-					return nil, err
-				}
+				n.Payloads[j] = decodeRow(r, sc, tableKey)
 			}
-		} else {
-			nc, err := r.Len()
-			if err != nil {
-				return nil, err
+			continue
+		}
+		n.Children = make([]int, r.Len())
+		for j := range n.Children {
+			c := r.Uvarint()
+			if c >= uint64(len(nodes)) {
+				r.Failf("tree child index %d out of range", c)
 			}
-			n.Children = make([]int, nc)
-			for j := range n.Children {
-				c, err := r.Uvarint()
-				if err != nil {
-					return nil, err
-				}
-				if c >= uint64(nn) {
-					return nil, corruptState("tree child index %d out of range", c)
-				}
-				n.Children[j] = int(c)
-			}
+			n.Children[j] = int(c)
 		}
 	}
+	if r.Err() != nil {
+		return nil
+	}
 	t, err := btree.Load(order, nodes)
+	if err == nil {
+		err = t.CheckInvariants()
+	}
 	if err != nil {
-		return nil, corruptState("%v", err)
+		r.Failf("%v", err)
+		return nil
 	}
-	if err := t.CheckInvariants(); err != nil {
-		return nil, corruptState("%v", err)
-	}
-	return t, nil
+	return t
 }

@@ -1,6 +1,11 @@
 package fleet
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -66,9 +71,9 @@ func FuzzHibernateDecode(f *testing.F) {
 
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add(valid[:4])              // magic only
-	f.Add(valid[:len(valid)/2])   // truncated body
-	f.Add(valid[:len(valid)-2])   // truncated checksum
+	f.Add(valid[:4])            // magic only
+	f.Add(valid[:len(valid)/2]) // truncated body
+	f.Add(valid[:len(valid)-2]) // truncated checksum
 	garbage := []byte("AXSN\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff")
 	f.Add(garbage)
 	for _, at := range []int{5, len(valid) / 3, len(valid) - 5} {
@@ -78,9 +83,9 @@ func FuzzHibernateDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// A fresh stamped tenant per exec: a corrupt decode may leave
-		// partially-applied state behind, which must never leak into the
-		// next execution's starting point.
+		// A fresh stamped tenant per exec: a refused decode leaves the
+		// tenant untouched, but an accepted mutant replaces its state, and
+		// that must never become the next execution's starting point.
 		tn, _, err := fuzzTenant(arch)
 		if err != nil {
 			t.Fatal(err)
@@ -93,4 +98,26 @@ func FuzzHibernateDecode(f *testing.F) {
 			t.Fatalf("decode succeeded but tenant cannot replay")
 		}
 	})
+}
+
+// TestSnapshotFormatFrozen pins the wire format: a fresh snapshot of the
+// fuzz tenant must equal the committed valid-snapshot corpus entry byte
+// for byte. A codec change that moves a field, a sort order or an integer
+// width fails here instead of silently orphaning every stored snapshot;
+// a deliberate format change bumps snap.Version and regenerates the
+// corpus (corpus_gen_test.go) in the same commit.
+func TestSnapshotFormatFrozen(t *testing.T) {
+	_, fresh := fuzzSetup(t)
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzHibernateDecode", "valid-snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+	committed, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatalf("corpus entry is not the `go test fuzz v1` encoding: %v", err)
+	}
+	if !bytes.Equal(fresh, []byte(committed)) {
+		t.Fatalf("snapshot format moved: fresh snapshot is %d bytes, committed corpus entry %d", len(fresh), len(committed))
+	}
 }

@@ -1,162 +1,86 @@
 package querystore
 
 import (
-	"fmt"
-	"time"
-
 	"autoindex/internal/mathx"
 	"autoindex/internal/snap"
 )
 
-// EncodeTo serializes the store's aggregated state — queries, plans,
-// interval statistics and execution totals — in deterministic order
-// (ascending query hash, ascending plan hash, interval slice order).
-// Clock, interval and the chaos dropper are runtime wiring that stays
-// resident through hibernation and is not serialized.
-func (s *Store) EncodeTo(w *snap.Writer) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	w.Varint(s.dropped)
-	w.Varint(s.totalExecs)
-	w.Varint(s.liveExecs)
-	w.Uvarint(uint64(len(s.queries)))
-	for _, h := range s.sortedHashesLocked() {
-		q := s.queries[h]
-		w.Uvarint(q.QueryHash)
-		w.String(q.Text)
-		w.Bool(q.Truncated)
-		w.Bool(q.IsWrite)
-		w.Bool(q.HasWritePredicates)
-		w.Varint(q.LiveExecutions)
-		w.Uvarint(uint64(len(q.Plans)))
-		for _, p := range q.sortedPlans() {
-			w.Uvarint(p.Info.PlanHash)
-			w.Uvarint(uint64(len(p.Info.IndexesUsed)))
-			for _, ix := range p.Info.IndexesUsed {
-				w.String(ix)
-			}
-			encodeTime(w, p.FirstSeen)
-			encodeTime(w, p.LastSeen)
-			w.Uvarint(uint64(len(p.Intervals)))
-			for _, iv := range p.Intervals {
-				encodeTime(w, iv.Start)
-				w.Varint(iv.Count)
-				encodeWelford(w, iv.CPU)
-				encodeWelford(w, iv.Reads)
-				encodeWelford(w, iv.Duration)
-			}
-		}
+// walkStore is the store's snapshot layout: execution totals, then the
+// queries in ascending query hash, each with its plans in ascending plan
+// hash and their intervals in slice order. Both hashes are record fields
+// on the wire, so decoding keys the maps from the records. Clock,
+// interval and the chaos dropper are runtime wiring that stays resident
+// through hibernation and is not serialized.
+func walkStore(c snap.Codec, dropped, totalExecs, liveExecs *int64, queries *map[uint64]*QueryEntry) {
+	c.Varint(dropped)
+	c.Varint(totalExecs)
+	c.Varint(liveExecs)
+	snap.Map(c, queries, func(c snap.Codec, h *uint64, qp **QueryEntry) {
+		walkQuery(c, snap.Ptr(c, qp))
+		*h = (*qp).QueryHash
+	})
+}
+
+func walkQuery(c snap.Codec, q *QueryEntry) {
+	c.Uvarint(&q.QueryHash)
+	c.String(&q.Text)
+	c.Bool(&q.Truncated)
+	c.Bool(&q.IsWrite)
+	c.Bool(&q.HasWritePredicates)
+	c.Varint(&q.LiveExecutions)
+	snap.Map(c, &q.Plans, func(c snap.Codec, h *uint64, pp **PlanEntry) {
+		walkPlan(c, snap.Ptr(c, pp))
+		*h = (*pp).Info.PlanHash
+	})
+}
+
+func walkPlan(c snap.Codec, p *PlanEntry) {
+	c.Uvarint(&p.Info.PlanHash)
+	c.Strings(&p.Info.IndexesUsed)
+	c.Time(&p.FirstSeen)
+	c.Time(&p.LastSeen)
+	snap.Slice(c, &p.Intervals, func(c snap.Codec, ivp **IntervalStats) {
+		iv := snap.Ptr(c, ivp)
+		c.Time(&iv.Start)
+		c.Varint(&iv.Count)
+		walkWelford(c, &iv.CPU)
+		walkWelford(c, &iv.Reads)
+		walkWelford(c, &iv.Duration)
+	})
+}
+
+func walkWelford(c snap.Codec, v *mathx.Welford) {
+	n, mean, m2 := v.N, v.Mean, v.M2()
+	c.Varint(&n)
+	c.Float(&mean)
+	c.Float(&m2)
+	if c.Decoding() {
+		*v = mathx.WelfordFromParts(n, mean, m2)
 	}
 }
 
-// DecodeFrom replaces the store's aggregated state with the decoded
-// snapshot, restoring in place so engine and control-plane references to
-// the Store (and its dropper hook) stay valid across hibernation.
-func (s *Store) DecodeFrom(r *snap.Reader) error {
-	dropped, err := r.Varint()
-	if err != nil {
-		return err
+// EncodeTo serializes the store's aggregated state for hibernation.
+func (s *Store) EncodeTo(w *snap.Writer) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	walkStore(snap.Encoder(w), &s.dropped, &s.totalExecs, &s.liveExecs, &s.queries)
+}
+
+// DecodeFrom decodes a snapshot into staged state and returns the commit
+// that swaps it into the store in place, so engine and control-plane
+// references to the Store (and its dropper hook) stay valid across
+// hibernation. The store is untouched until commit runs; the caller runs
+// it only after r.Err() has vouched for the whole snapshot.
+func (s *Store) DecodeFrom(r *snap.Reader) (commit func()) {
+	var dropped, totalExecs, liveExecs int64
+	var queries map[uint64]*QueryEntry
+	walkStore(snap.Decoder(r), &dropped, &totalExecs, &liveExecs, &queries)
+	return func() {
+		s.mu.Lock()
+		s.queries = queries
+		s.dropped, s.totalExecs, s.liveExecs = dropped, totalExecs, liveExecs
+		s.mu.Unlock()
 	}
-	totalExecs, err := r.Varint()
-	if err != nil {
-		return err
-	}
-	liveExecs, err := r.Varint()
-	if err != nil {
-		return err
-	}
-	nq, err := r.Len()
-	if err != nil {
-		return err
-	}
-	queries := make(map[uint64]*QueryEntry, nq)
-	for i := 0; i < nq; i++ {
-		q := &QueryEntry{}
-		if q.QueryHash, err = r.Uvarint(); err != nil {
-			return err
-		}
-		if q.Text, err = r.String(); err != nil {
-			return err
-		}
-		if q.Truncated, err = r.Bool(); err != nil {
-			return err
-		}
-		if q.IsWrite, err = r.Bool(); err != nil {
-			return err
-		}
-		if q.HasWritePredicates, err = r.Bool(); err != nil {
-			return err
-		}
-		if q.LiveExecutions, err = r.Varint(); err != nil {
-			return err
-		}
-		np, err := r.Len()
-		if err != nil {
-			return err
-		}
-		q.Plans = make(map[uint64]*PlanEntry, np)
-		for j := 0; j < np; j++ {
-			p := &PlanEntry{}
-			if p.Info.PlanHash, err = r.Uvarint(); err != nil {
-				return err
-			}
-			nix, err := r.Len()
-			if err != nil {
-				return err
-			}
-			p.Info.IndexesUsed = make([]string, nix)
-			for k := 0; k < nix; k++ {
-				if p.Info.IndexesUsed[k], err = r.String(); err != nil {
-					return err
-				}
-			}
-			if p.FirstSeen, err = decodeTime(r); err != nil {
-				return err
-			}
-			if p.LastSeen, err = decodeTime(r); err != nil {
-				return err
-			}
-			niv, err := r.Len()
-			if err != nil {
-				return err
-			}
-			p.Intervals = make([]*IntervalStats, niv)
-			for k := 0; k < niv; k++ {
-				iv := &IntervalStats{}
-				if iv.Start, err = decodeTime(r); err != nil {
-					return err
-				}
-				if iv.Count, err = r.Varint(); err != nil {
-					return err
-				}
-				if iv.CPU, err = decodeWelford(r); err != nil {
-					return err
-				}
-				if iv.Reads, err = decodeWelford(r); err != nil {
-					return err
-				}
-				if iv.Duration, err = decodeWelford(r); err != nil {
-					return err
-				}
-				p.Intervals[k] = iv
-			}
-			if _, dup := q.Plans[p.Info.PlanHash]; dup {
-				return fmt.Errorf("querystore: %w: duplicate plan hash %d", snap.ErrCorrupt, p.Info.PlanHash)
-			}
-			q.Plans[p.Info.PlanHash] = p
-		}
-		if _, dup := queries[q.QueryHash]; dup {
-			return fmt.Errorf("querystore: %w: duplicate query hash %d", snap.ErrCorrupt, q.QueryHash)
-		}
-		queries[q.QueryHash] = q
-	}
-	s.mu.Lock()
-	s.queries = queries
-	s.dropped = dropped
-	s.totalExecs = totalExecs
-	s.liveExecs = liveExecs
-	s.mu.Unlock()
-	return nil
 }
 
 // Release drops the aggregated state (the memory hibernation reclaims)
@@ -165,57 +89,4 @@ func (s *Store) Release() {
 	s.mu.Lock()
 	s.queries = nil
 	s.mu.Unlock()
-}
-
-// sortedHashesLocked returns query hashes ascending; callers hold mu.
-func (s *Store) sortedHashesLocked() []uint64 {
-	out := make([]uint64, 0, len(s.queries))
-	//lint:ignore maporder keys are collected then sorted by sortUint64 below; the analyzer only credits sort.* calls
-	for h := range s.queries {
-		out = append(out, h)
-	}
-	sortUint64(out)
-	return out
-}
-
-func sortUint64(s []uint64) {
-	// Tiny insertion sort avoids pulling sort.Slice into the hot encode
-	// path for the common few-dozen-template case.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func encodeTime(w *snap.Writer, t time.Time) { w.Varint(t.UnixNano()) }
-
-func decodeTime(r *snap.Reader) (time.Time, error) {
-	n, err := r.Varint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	return time.Unix(0, n).UTC(), nil
-}
-
-func encodeWelford(w *snap.Writer, v mathx.Welford) {
-	w.Varint(v.N)
-	w.Float(v.Mean)
-	w.Float(v.M2())
-}
-
-func decodeWelford(r *snap.Reader) (mathx.Welford, error) {
-	n, err := r.Varint()
-	if err != nil {
-		return mathx.Welford{}, err
-	}
-	mean, err := r.Float()
-	if err != nil {
-		return mathx.Welford{}, err
-	}
-	m2, err := r.Float()
-	if err != nil {
-		return mathx.Welford{}, err
-	}
-	return mathx.WelfordFromParts(n, mean, m2), nil
 }

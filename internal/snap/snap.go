@@ -15,7 +15,9 @@
 //     been recomputed (the fuzz harness exercises exactly that path).
 //
 // The codec is not self-describing: reader and writer must agree on field
-// order, with a version byte in the envelope gating compatibility.
+// order, with a version byte in the envelope gating compatibility. So
+// that the two cannot drift, a persisted record's order is written once,
+// as a walk function over a Codec (codec.go) that both directions call.
 package snap
 
 import (
@@ -81,12 +83,6 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Bytes appends a length-prefixed byte slice.
-func (w *Writer) Bytes(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
 // Len returns the current body length in bytes.
 func (w *Writer) Len() int { return len(w.buf) }
 
@@ -104,11 +100,16 @@ func (w *Writer) Seal() []byte {
 	return out
 }
 
-// Reader decodes an encoded body. Every method returns an error wrapping
-// ErrCorrupt on truncated or implausible input.
+// Reader decodes an encoded body with a sticky error: the first failure
+// is latched (wrapping ErrCorrupt) and the rest of the input is dropped,
+// so every later read returns the zero value and Len returns 0 — loops
+// over a decoded count end by themselves. Callers decode a whole
+// structure, then check Err once before validating what they read or
+// swapping it into live state.
 type Reader struct {
 	buf []byte
 	off int
+	err error
 }
 
 // Open validates an envelope produced by Seal and returns a Reader over
@@ -146,108 +147,120 @@ func Open(data []byte) (*Reader, error) {
 }
 
 // NewBodyReader returns a Reader over a bare body with no envelope —
-// used by the fuzz harness to drive the structural decoder directly.
+// used by tests to drive the structural decoder directly.
 func NewBodyReader(body []byte) *Reader { return &Reader{buf: body} }
 
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-// Done returns an error unless the body was consumed exactly.
-func (r *Reader) Done() error {
-	if r.off != len(r.buf) {
-		return corruptf("%d trailing bytes", len(r.buf)-r.off)
+// Failf latches an ErrCorrupt-wrapped error unless one is latched
+// already. Decoders call it for their own structural violations
+// (duplicate keys, dangling references) so those end the decode the same
+// way a truncated read does.
+func (r *Reader) Failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = corruptf(format, args...)
 	}
-	return nil
+	r.buf, r.off = nil, 0
 }
 
+// Err returns the latched error, or nil if every read so far succeeded.
+func (r *Reader) Err() error { return r.err }
+
+// Done returns the latched error, or an error unless the body was
+// consumed exactly.
+func (r *Reader) Done() error {
+	if r.err == nil && r.off != len(r.buf) {
+		return corruptf("%d trailing bytes", len(r.buf)-r.off)
+	}
+	return r.err
+}
+
+func (r *Reader) remaining() int { return len(r.buf) - r.off }
+
 // Uvarint reads an unsigned varint.
-func (r *Reader) Uvarint() (uint64, error) {
+func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
-		return 0, corruptf("bad uvarint at offset %d", r.off)
+		r.Failf("bad uvarint at offset %d", r.off)
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
 // Varint reads a signed varint.
-func (r *Reader) Varint() (int64, error) {
+func (r *Reader) Varint() int64 {
 	v, n := binary.Varint(r.buf[r.off:])
 	if n <= 0 {
-		return 0, corruptf("bad varint at offset %d", r.off)
+		r.Failf("bad varint at offset %d", r.off)
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
 // Int reads an int, rejecting values outside the platform int range.
-func (r *Reader) Int() (int, error) {
-	v, err := r.Varint()
-	if err != nil {
-		return 0, err
-	}
+func (r *Reader) Int() int {
+	v := r.Varint()
 	if int64(int(v)) != v {
-		return 0, corruptf("int overflow %d", v)
+		r.Failf("int overflow %d", v)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
+}
+
+// Uint reads an unsigned varint that is a scalar — a row width, a tree
+// order — rather than an element count: it must fit a non-negative int
+// but is not measured against the remaining input the way Len is.
+func (r *Reader) Uint() int {
+	v := r.Uvarint()
+	if v > math.MaxInt {
+		r.Failf("uint overflow %d", v)
+		return 0
+	}
+	return int(v)
 }
 
 // Len reads a non-negative count that must be representable in the
 // remaining input at a minimum of one byte per element — the guard that
 // keeps a lying length prefix from triggering a huge allocation.
-func (r *Reader) Len() (int, error) {
-	v, err := r.Uvarint()
-	if err != nil {
-		return 0, err
+func (r *Reader) Len() int {
+	v := r.Uvarint()
+	if v > uint64(r.remaining()) {
+		r.Failf("length %d exceeds %d remaining bytes", v, r.remaining())
+		return 0
 	}
-	if v > uint64(r.Remaining()) {
-		return 0, corruptf("length %d exceeds %d remaining bytes", v, r.Remaining())
-	}
-	return int(v), nil
+	return int(v)
 }
 
 // Bool reads a boolean, rejecting bytes other than 0 and 1.
-func (r *Reader) Bool() (bool, error) {
-	if r.Remaining() < 1 {
-		return false, corruptf("truncated bool")
+func (r *Reader) Bool() bool {
+	if r.remaining() < 1 {
+		r.Failf("truncated bool")
+		return false
 	}
 	b := r.buf[r.off]
 	r.off++
 	if b > 1 {
-		return false, corruptf("bad bool byte %d", b)
+		r.Failf("bad bool byte %d", b)
+		return false
 	}
-	return b == 1, nil
+	return b == 1
 }
 
 // Float reads a float64 from its IEEE-754 bits.
-func (r *Reader) Float() (float64, error) {
-	if r.Remaining() < 8 {
-		return 0, corruptf("truncated float")
+func (r *Reader) Float() float64 {
+	if r.remaining() < 8 {
+		r.Failf("truncated float")
+		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
 	r.off += 8
-	return v, nil
+	return v
 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() (string, error) {
-	n, err := r.Len()
-	if err != nil {
-		return "", err
-	}
+func (r *Reader) String() string {
+	n := r.Len()
 	s := string(r.buf[r.off : r.off+n])
 	r.off += n
-	return s, nil
-}
-
-// Bytes reads a length-prefixed byte slice (copied out of the input).
-func (r *Reader) Bytes() ([]byte, error) {
-	n, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, n)
-	copy(b, r.buf[r.off:r.off+n])
-	r.off += n
-	return b, nil
+	return s
 }

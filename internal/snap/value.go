@@ -25,43 +25,35 @@ func (w *Writer) Row(row value.Row) {
 }
 
 // Value reads a typed scalar, rejecting unknown kinds.
-func (r *Reader) Value() (value.Value, error) {
-	if r.Remaining() < 1 {
-		return value.Value{}, corruptf("truncated value kind")
+func (r *Reader) Value() value.Value {
+	if r.remaining() < 1 {
+		r.Failf("truncated value kind")
+		return value.Value{}
 	}
-	k := value.Kind(r.buf[r.off])
+	v := value.Value{K: value.Kind(r.buf[r.off])}
 	r.off++
-	if k > value.Time {
-		return value.Value{}, corruptf("unknown value kind %d", k)
-	}
-	v := value.Value{K: k}
-	var err error
-	switch k {
+	switch v.K {
 	case value.Null:
 	case value.Float:
-		v.F, err = r.Float()
+		v.F = r.Float()
 	case value.String:
-		v.S, err = r.String()
+		v.S = r.String()
+	case value.Int, value.Bool, value.Time:
+		v.I = r.Varint()
 	default:
-		v.I, err = r.Varint()
+		r.Failf("unknown value kind %d", v.K)
 	}
-	if err != nil {
-		return value.Value{}, err
+	if r.err != nil {
+		return value.Value{}
 	}
-	return v, nil
+	return v
 }
 
 // Row reads a length-prefixed tuple of values.
-func (r *Reader) Row() (value.Row, error) {
-	n, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	row := make(value.Row, n)
+func (r *Reader) Row() value.Row {
+	row := make(value.Row, r.Len())
 	for i := range row {
-		if row[i], err = r.Value(); err != nil {
-			return nil, err
-		}
+		row[i] = r.Value()
 	}
-	return row, nil
+	return row
 }

@@ -1,77 +1,23 @@
 package stats
 
-import (
-	"time"
+import "autoindex/internal/snap"
 
-	"autoindex/internal/snap"
-)
-
-// EncodeTo serializes the statistics object bit-exactly (float bits,
-// value kinds) so a private, tenant-forked histogram survives
-// hibernation unchanged. Archetype-shared statistics are encoded as a
-// reference by the engine instead and never pass through here.
-func (s *ColumnStats) EncodeTo(w *snap.Writer) {
-	w.String(s.Column)
-	w.Float(s.RowCount)
-	w.Float(s.Nulls)
-	w.Float(s.Distinct)
-	w.Value(s.Min)
-	w.Value(s.Max)
-	w.Uvarint(uint64(len(s.Buckets)))
-	for _, b := range s.Buckets {
-		w.Value(b.Upper)
-		w.Float(b.Rows)
-		w.Float(b.Distinct)
-	}
-	w.Float(s.SampleRate)
-	w.Varint(s.BuiltAt.UnixNano())
-}
-
-// DecodeStats reads a statistics object written by EncodeTo.
-func DecodeStats(r *snap.Reader) (*ColumnStats, error) {
-	s := &ColumnStats{}
-	var err error
-	if s.Column, err = r.String(); err != nil {
-		return nil, err
-	}
-	if s.RowCount, err = r.Float(); err != nil {
-		return nil, err
-	}
-	if s.Nulls, err = r.Float(); err != nil {
-		return nil, err
-	}
-	if s.Distinct, err = r.Float(); err != nil {
-		return nil, err
-	}
-	if s.Min, err = r.Value(); err != nil {
-		return nil, err
-	}
-	if s.Max, err = r.Value(); err != nil {
-		return nil, err
-	}
-	nb, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	s.Buckets = make([]Bucket, nb)
-	for i := range s.Buckets {
-		if s.Buckets[i].Upper, err = r.Value(); err != nil {
-			return nil, err
-		}
-		if s.Buckets[i].Rows, err = r.Float(); err != nil {
-			return nil, err
-		}
-		if s.Buckets[i].Distinct, err = r.Float(); err != nil {
-			return nil, err
-		}
-	}
-	if s.SampleRate, err = r.Float(); err != nil {
-		return nil, err
-	}
-	ns, err := r.Varint()
-	if err != nil {
-		return nil, err
-	}
-	s.BuiltAt = time.Unix(0, ns).UTC()
-	return s, nil
+// Snap walks the statistics object bit-exactly (float bits, value
+// kinds) so a private, tenant-forked histogram survives hibernation
+// unchanged. Archetype-shared statistics are encoded as a reference by
+// the engine instead and never pass through here.
+func (s *ColumnStats) Snap(c snap.Codec) {
+	c.String(&s.Column)
+	c.Float(&s.RowCount)
+	c.Float(&s.Nulls)
+	c.Float(&s.Distinct)
+	c.Value(&s.Min)
+	c.Value(&s.Max)
+	snap.Slice(c, &s.Buckets, func(c snap.Codec, b *Bucket) {
+		c.Value(&b.Upper)
+		c.Float(&b.Rows)
+		c.Float(&b.Distinct)
+	})
+	c.Float(&s.SampleRate)
+	c.Time(&s.BuiltAt)
 }

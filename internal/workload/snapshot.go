@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"sort"
-
 	"autoindex/internal/engine"
 	"autoindex/internal/sim"
 	"autoindex/internal/snap"
@@ -17,33 +15,35 @@ func (t *Tenant) sharedCatalog() *engine.SharedCatalog {
 	return nil
 }
 
-// EncodeTo serializes the tenant's workload state (RNG position, insert
-// and feed id streams) followed by the full engine snapshot. Combined
-// with snap.Writer.Seal this is the hibernated form of a tenant.
+// walkTenant is the tenant header's snapshot layout: the workload RNG
+// position, then the insert and feed id streams.
+func walkTenant(c snap.Codec, rngPos *uint64, insertIDs, feedNext *map[string]int64) {
+	walkID := func(c snap.Codec, k *string, v *int64) {
+		c.String(k)
+		c.Varint(v)
+	}
+	c.Uvarint(rngPos)
+	snap.Map(c, insertIDs, walkID)
+	snap.Map(c, feedNext, walkID)
+}
+
+// EncodeTo serializes the tenant's workload state followed by the full
+// engine snapshot. Combined with snap.Writer.Seal this is the hibernated
+// form of a tenant.
 func (t *Tenant) EncodeTo(w *snap.Writer) {
-	w.Uvarint(t.rng.Pos())
-	encodeIDMap(w, t.insertIDs)
-	encodeIDMap(w, t.feedNext)
+	pos := t.rng.Pos()
+	walkTenant(snap.Encoder(w), &pos, &t.insertIDs, &t.feedNext)
 	t.DB.EncodeTo(w, t.sharedCatalog())
 }
 
 // DecodeFrom rehydrates the tenant in place from an EncodeTo snapshot.
 // The Tenant and its Database shells stay resident, so control-plane,
 // chaos-harness and bulk-feed references remain valid; the workload RNG
-// is rebuilt from (seed, position).
+// is rebuilt from (seed, position). On error nothing has been swapped in.
 func (t *Tenant) DecodeFrom(r *snap.Reader) error {
-	pos, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	insertIDs, err := decodeIDMap(r)
-	if err != nil {
-		return err
-	}
-	feedNext, err := decodeIDMap(r)
-	if err != nil {
-		return err
-	}
+	var pos uint64
+	var insertIDs, feedNext map[string]int64
+	walkTenant(snap.Decoder(r), &pos, &insertIDs, &feedNext)
 	if err := t.DB.DecodeFrom(r, t.sharedCatalog()); err != nil {
 		return err
 	}
@@ -60,37 +60,4 @@ func (t *Tenant) Release() {
 	t.insertIDs = nil
 	t.feedNext = nil
 	t.DB.Release()
-}
-
-func encodeIDMap(w *snap.Writer, m map[string]int64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.Varint(m[k])
-	}
-}
-
-func decodeIDMap(r *snap.Reader) (map[string]int64, error) {
-	n, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]int64, n)
-	for i := 0; i < n; i++ {
-		k, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.Varint()
-		if err != nil {
-			return nil, err
-		}
-		m[k] = v
-	}
-	return m, nil
 }
