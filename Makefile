@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-fixtures check bench bench-gate smoke scenarios race-scenarios fuzz loc ci cover clean
+.PHONY: all build test race vet lint lint-fixtures check bench bench-gate smoke chaos-smoke scenarios race-scenarios fuzz loc ci cover clean
 
 all: build test
 
@@ -99,6 +99,16 @@ bench-gate:
 smoke:
 	$(GO) test -run 'TestLiveTrafficSmoke' -count=1 .
 
+# The chaos CLI paths end to end: the documented `opstats -chaos` run on
+# the materialised fleet and a `scale -chaos` run under hibernation
+# pressure, both on the one hour loop. fleetsim exits 1 on any invariant
+# violation, so a post-drain audit that disagrees with the services it
+# audits fails here, not in a user's terminal. Part of CI.
+chaos-smoke:
+	$(GO) run ./cmd/fleetsim -experiment opstats -databases 6 -days 4 -seed 7 -chaos
+	$(GO) run ./cmd/fleetsim -experiment scale -tenants 300 -hours 48 -archetypes 3 \
+		-resident-tenants 4 -active-fraction 0.05 -scale 0.25 -seed 7 -chaos > /dev/null
+
 # The adversarial scenario pack (internal/scenario): all four
 # generators at the pinned CI seed, writing the invariant verdicts to
 # verdicts.json. Exits non-zero when any verdict fails; cmd/benchdiff
@@ -128,7 +138,7 @@ loc:
 
 # The single CI entry point: everything the workflow runs, runnable
 # locally with one command.
-ci: check race cover smoke scenarios bench-gate
+ci: check race cover smoke chaos-smoke scenarios bench-gate
 
 clean:
 	$(GO) clean ./...

@@ -65,7 +65,7 @@ func main() {
 		seed       = flag.Int64("seed", 20170301, "fleet seed")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "tenant worker pool size (results are identical at any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		chaosOn    = flag.Bool("chaos", false, "inject seeded faults (opstats/reverts only) and audit invariants")
+		chaosOn    = flag.Bool("chaos", false, "inject seeded faults (opstats/reverts/scale/scenarios) and audit invariants; any violation exits 1")
 		faultRate  = flag.Float64("chaos-fault-rate", 0.05, "per-opportunity probability of engine/telemetry/querystore faults")
 		crashRate  = flag.Float64("chaos-crash-rate", 0.02, "per-save probability of each control-plane crash point")
 		metricsOut = flag.String("metrics-out", "", "write the run's deterministic metrics snapshot (JSON) to this file; byte-identical for a given seed at any -workers")
@@ -91,7 +91,7 @@ func main() {
 	switch strings.ToLower(*exp) {
 	case "fig6":
 		if chaos.Enabled {
-			fmt.Fprintln(os.Stderr, "fleetsim: -chaos applies to opstats/reverts, not fig6")
+			fmt.Fprintln(os.Stderr, "fleetsim: -chaos applies to opstats/reverts/scale/scenarios, not fig6")
 			os.Exit(2)
 		}
 		runFig6(*tierStr, *databases, *seed, *workers, *metricsOut)

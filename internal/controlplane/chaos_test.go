@@ -355,3 +355,50 @@ func TestWrappedTransientErrorRetriesEndToEnd(t *testing.T) {
 		t.Fatal("transient error must not raise an incident")
 	}
 }
+
+// TestAuditStuckRuleMirrorsServices pins the audit to the services that
+// bound each wait: healthService watches everything mid-flight by
+// StuckAfter and deliberately skips Active (waiting for a human), which
+// only expiryService's creation-time TTL bounds. An audit that applied
+// StuckAfter to Active records flagged every recommendation on a
+// database with auto-implementation off.
+func TestAuditStuckRuleMirrorsServices(t *testing.T) {
+	c := newChaosCase(t, 1)
+	start := c.clock.Now()
+	save := func(id string, state RecState) {
+		c.mem.SaveRecord(&Record{
+			Recommendation: core.Recommendation{
+				ID: id, Database: "chaosdb", Action: core.ActionCreateIndex,
+				Index:     schema.IndexDef{Name: "ix_" + id, Table: "items", KeyColumns: []string{"cat"}},
+				Source:    core.SourceDTA,
+				CreatedAt: start,
+			},
+			State: state, UpdatedAt: start,
+		})
+	}
+	save("rec-active", StateActive)
+	save("rec-validating", StateValidating)
+	targets := map[string]InvariantTarget{"chaosdb": {DB: c.db, Baseline: c.baseline}}
+	stuck := func(age time.Duration) []string {
+		var ids []string
+		for _, v := range CheckInvariants(c.mem, targets, c.cfg, start.Add(age)) {
+			if v.Rule == RuleStuck {
+				ids = append(ids, strings.Fields(v.Detail)[1])
+			}
+		}
+		return ids
+	}
+	for _, tc := range []struct {
+		age  time.Duration
+		want string
+	}{
+		{c.cfg.StuckAfter, ""},
+		{c.cfg.StuckAfter + time.Hour, "rec-validating"},
+		{c.cfg.RecommendationTTL, "rec-validating"},
+		{c.cfg.RecommendationTTL + time.Hour, "rec-active rec-validating"},
+	} {
+		if got := strings.Join(stuck(tc.age), " "); got != tc.want {
+			t.Errorf("at age %s: stuck records %q, want %q", tc.age, got, tc.want)
+		}
+	}
+}

@@ -47,7 +47,10 @@ const (
 //
 //   - no record still mid-flight (the drain gave every record time to
 //     reach Active or a terminal state),
-//   - no record stuck past cfg.StuckAfter (health-check invariant, §4),
+//   - no mid-flight record stuck past cfg.StuckAfter (health-check
+//     invariant, §4) and no Active one past cfg.RecommendationTTL (the
+//     expiry service's bound; Active waits for a human, so the health
+//     service deliberately leaves it alone),
 //   - no two auto-created indexes with identical keys on one table
 //     (re-executed creates must adopt, never duplicate),
 //   - no auto-created index unaccounted for by some record (a crash must
@@ -130,9 +133,17 @@ func checkDatabase(store Store, name string, target InvariantTarget, cfg Config,
 				out = append(out, Violation{name, RuleInFlight,
 					fmt.Sprintf("record %s still %s (substate %q)", r.ID, r.State, r.SubState)})
 			}
-			if now.Sub(r.UpdatedAt) > cfg.StuckAfter {
+			// Mirror the services that bound each wait: healthService
+			// watches everything mid-flight by StuckAfter, but an Active
+			// record is waiting for a human and only expiryService's TTL
+			// (measured from creation) bounds it.
+			age, limit, bound := now.Sub(r.UpdatedAt), cfg.StuckAfter, "StuckAfter"
+			if r.State == StateActive {
+				age, limit, bound = now.Sub(r.CreatedAt), cfg.RecommendationTTL, "RecommendationTTL"
+			}
+			if age > limit {
 				out = append(out, Violation{name, RuleStuck,
-					fmt.Sprintf("record %s in %s for %s (> StuckAfter %s)", r.ID, r.State, now.Sub(r.UpdatedAt), cfg.StuckAfter)})
+					fmt.Sprintf("record %s in %s for %s (> %s %s)", r.ID, r.State, age, bound, limit)})
 			}
 			// Mid-flight DDL may or may not have landed.
 			if r.State != StateActive {

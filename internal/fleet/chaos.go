@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"autoindex/internal/controlplane"
 	"autoindex/internal/faults"
@@ -78,27 +77,24 @@ func (r *ChaosReport) Format() string {
 }
 
 // chaosHarness wires fault injectors into every layer of a fleet run and
-// owns the crash-recovery loop. All of its mutation happens in serial
-// sections (tenant enrollment, control-plane steps, drain), so it needs
-// no locking; the injectors it hands to parallel tenant code (query-store
-// droppers) are internally synchronized and per-tenant.
+// rebuilds the control plane after an injected crash. All of its mutation
+// happens in serial sections (tenant enrollment, control-plane steps,
+// drain), so it needs no locking; the injectors it hands to parallel
+// tenant code (query-store droppers) are internally synchronized and
+// per-tenant.
 type chaosHarness struct {
 	cfg  ChaosConfig
 	seed int64
 
 	hub     *telemetry.Hub
-	mem     controlplane.Store
 	wrapped controlplane.Store
 	crashIn *faults.Injector
 	telemIn *faults.Injector
 
 	managed   []*workload.Tenant
 	settings  map[string]controlplane.Settings
-	baselines map[string]controlplane.InvariantTarget
 	engineIns map[string]*faults.Injector
 	qsIns     map[string]*faults.Injector
-
-	runner *controlplane.CrashRunner
 }
 
 // newChaosHarness builds the harness around the control plane's backing
@@ -110,9 +106,7 @@ func newChaosHarness(cfg ChaosConfig, seed int64, mem controlplane.Store) *chaos
 		cfg:       cfg,
 		seed:      seed,
 		hub:       telemetry.NewHub(0),
-		mem:       mem,
 		settings:  make(map[string]controlplane.Settings),
-		baselines: make(map[string]controlplane.InvariantTarget),
 		engineIns: make(map[string]*faults.Injector),
 		qsIns:     make(map[string]*faults.Injector),
 	}
@@ -129,14 +123,13 @@ func newChaosHarness(cfg ChaosConfig, seed int64, mem controlplane.Store) *chaos
 	return ch
 }
 
-// enroll captures a tenant's index baseline and attaches its engine and
-// query-store injectors. Called serially (initial managed set and
-// fleet-growth barriers), before the tenant sees any chaos.
+// enroll records a tenant for crash-restart re-Management and attaches
+// its engine and query-store injectors. Called serially (run.enroll),
+// before the tenant sees any chaos.
 func (ch *chaosHarness) enroll(tn *workload.Tenant, s controlplane.Settings) {
 	name := tn.DB.Name()
 	ch.managed = append(ch.managed, tn)
 	ch.settings[name] = s
-	ch.baselines[name] = controlplane.InvariantTarget{DB: tn.DB, Baseline: tn.DB.IndexDefs()}
 
 	eng := faults.New(ch.seed, "engine/"+name, map[faults.Point]float64{
 		faults.IndexBuildLogFull:     ch.cfg.FaultRate,
@@ -154,18 +147,16 @@ func (ch *chaosHarness) enroll(tn *workload.Tenant, s controlplane.Settings) {
 	tn.DB.QueryStore().SetDropper(func() bool { return qs.Should(faults.QueryStoreDropExecution) })
 }
 
-// attach builds the crash-recovery runner around the initial plane. The
-// rebuild closure reconstructs a fresh control plane over the same
-// (crash-wrapped) store and re-Manages every enrolled tenant — exactly
-// the restart-time recovery path through the persistence layer.
-func (ch *chaosHarness) attach(cp *controlplane.ControlPlane, planeCfg controlplane.Config, clock sim.Clock) {
-	ch.runner = controlplane.NewCrashRunner(cp, func() *controlplane.ControlPlane {
-		np := controlplane.New(planeCfg, clock, ch.wrapped, ch.hub)
-		for _, tn := range ch.managed {
-			np.Manage(tn.DB, "server-0", ch.settings[tn.DB.Name()])
-		}
-		return np
-	})
+// rebuild is the crash runner's recovery step: a fresh control plane
+// over the same (crash-wrapped) store with every enrolled tenant
+// re-Managed — exactly the restart-time recovery path through the
+// persistence layer.
+func (ch *chaosHarness) rebuild(planeCfg controlplane.Config, clock sim.Clock) *controlplane.ControlPlane {
+	np := controlplane.New(planeCfg, clock, ch.wrapped, ch.hub)
+	for _, tn := range ch.managed {
+		np.Manage(tn.DB, "server-0", ch.settings[tn.DB.Name()])
+	}
+	return np
 }
 
 // disable turns every injector off (they keep consuming draws, so a drain
@@ -181,50 +172,16 @@ func (ch *chaosHarness) disable() {
 	}
 }
 
-// inFlight reports whether any record is mid-flight (neither terminal nor
-// waiting in Active).
-func (ch *chaosHarness) inFlight() bool {
-	return len(ch.mem.Records(func(r *controlplane.Record) bool {
-		return !r.State.Terminal() && r.State != controlplane.StateActive
-	})) > 0
-}
-
-// freezeAnalysis pushes every database's analysis and drop-scan
-// timestamps to now so the drain settles existing records without
-// generating new recommendations.
-func (ch *chaosHarness) freezeAnalysis(now time.Time) {
-	for _, ds := range ch.mem.Databases() {
-		ds.LastAnalysis = now
-		ds.LastDropScan = now
-		ch.mem.SaveDatabase(ds)
-	}
-}
-
-// drain disables injection and steps the fleet hour by hour until no
-// record is mid-flight (or the drain budget runs out — the invariant
-// checker then reports the survivors as violations). Returns the hours
-// consumed.
-func (ch *chaosHarness) drain(f *Fleet) int {
-	ch.disable()
-	max := ch.cfg.MaxDrainHours
-	if max <= 0 {
-		// ValidationWindow (hours) + exhausted exponential retries + stuck
-		// sweeps comfortably fit in three weeks of virtual time.
-		max = 21 * 24
-	}
-	return drainInFlight(f, ch.mem, ch.runner.Step, max)
-}
-
-// report collects injector counters and runs the invariant checker.
-// Callers must have every enrolled tenant materialized (rehydrated) at
-// call time: the invariant checker audits live engine catalogs and the
-// drop counters read live query stores.
-func (ch *chaosHarness) report(now time.Time, planeCfg controlplane.Config, drained int) *ChaosReport {
+// report collects injector counters around the audit's findings. Callers
+// must have every enrolled tenant materialized (rehydrated) at call time:
+// the drop counters read live query stores.
+func (ch *chaosHarness) report(crashes map[faults.Point]int64, drained int, violations []controlplane.Violation) *ChaosReport {
 	rep := &ChaosReport{
 		Faults:        make(map[faults.Point]int64),
-		Crashes:       ch.runner.Crashes,
+		Crashes:       crashes,
 		DroppedEvents: ch.hub.Counter("telemetry.dropped"),
 		DrainHours:    drained,
+		Violations:    violations,
 	}
 	faults.MergeFired(rep.Faults, ch.crashIn.Fired())
 	faults.MergeFired(rep.Faults, ch.telemIn.Fired())
@@ -240,6 +197,5 @@ func (ch *chaosHarness) report(now time.Time, planeCfg controlplane.Config, drai
 	for _, tn := range ch.managed {
 		rep.DroppedExecutions += tn.DB.QueryStore().DroppedExecutions()
 	}
-	rep.Violations = controlplane.CheckInvariants(ch.mem, ch.baselines, planeCfg, now)
 	return rep
 }

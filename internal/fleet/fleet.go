@@ -16,6 +16,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"autoindex/internal/controlplane"
@@ -24,7 +25,6 @@ import (
 	"autoindex/internal/metrics"
 	"autoindex/internal/querystore"
 	"autoindex/internal/sim"
-	"autoindex/internal/telemetry"
 	"autoindex/internal/workload"
 )
 
@@ -131,41 +131,23 @@ func (f *Fleet) addTenant(tn *workload.Tenant, clock *sim.VirtualClock) {
 	f.Metrics.Gauge(descTenants).Set(int64(len(f.Tenants)))
 }
 
-// alignClocks advances the region clock and every tenant clock to the
-// fleet-wide maximum. Called at barriers only (no tenant worker running):
-// online index builds and B-instance replays advance only the affected
-// tenant's clock, and the maximum over all clocks is independent of the
-// order tenants executed in, so re-alignment preserves determinism.
-func (f *Fleet) alignClocks() {
-	max := f.Clock.Now()
-	for _, c := range f.clocks {
-		if t := c.Now(); t.After(max) {
-			max = t
-		}
-	}
-	f.Clock.AdvanceTo(max)
-	for _, c := range f.clocks {
-		c.AdvanceTo(max)
-	}
-}
-
 // AdvanceLive moves the whole fleet's virtual time forward by d and
 // re-aligns every tenant clock. The serving path uses it as the live
 // loop's tick: client statements execute against tenant databases in
 // real time, and each tick advances the virtual clocks the tuning
 // pipeline (analysis cadence, validation windows) runs on. Call it only
-// from the single live-loop goroutine — it is a barrier, like the
-// ops-loop call sites of alignClocks.
+// from the single live-loop goroutine — it is a barrier, like the hour
+// loop's call sites of alignClocks.
 func (f *Fleet) AdvanceLive(d time.Duration) {
 	f.Clock.Advance(d)
-	f.alignClocks()
+	alignClocks(f.Clock, f.clocks)
 }
 
-// tenantStream derives tenant tn's named RNG stream from the fleet seed:
+// tenantStream derives a tenant's named RNG stream from the fleet seed:
 // sim.TenantRNG gives the per-tenant root (seed ^ hash(tenantID)), Child
 // isolates the purpose so new consumers don't perturb existing ones.
-func (f *Fleet) tenantStream(tn *workload.Tenant, purpose string) *sim.RNG {
-	return sim.TenantRNG(f.spec.Seed, tn.DB.Name()).Child(purpose)
+func tenantStream(seed int64, tenant, purpose string) *sim.RNG {
+	return sim.TenantRNG(seed, tenant).Child(purpose)
 }
 
 // RunFig6 executes the §7.3 experiment across the fleet, one tenant per
@@ -176,9 +158,9 @@ func (f *Fleet) RunFig6(tierLabel string, cfg experiment.Fig6Config) experiment.
 	results := make([]experiment.DatabaseResult, len(f.Tenants))
 	forEachObserved(f.Metrics, f.spec.Workers, len(f.Tenants), func(i int) {
 		tn := f.Tenants[i]
-		results[i] = experiment.RunFig6ForTenant(tn, cfg, f.tenantStream(tn, "fig6"))
+		results[i] = experiment.RunFig6ForTenant(tn, cfg, tenantStream(f.spec.Seed, tn.DB.Name(), "fig6"))
 	})
-	f.alignClocks()
+	alignClocks(f.Clock, f.clocks)
 	return experiment.Summarize(tierLabel, results)
 }
 
@@ -246,119 +228,54 @@ type OpsResult struct {
 // tenant workloads replay in parallel across the worker pool; the
 // control-plane micro-services then step serially at the hour barrier, as
 // do fleet-growth and measurement bookkeeping, so the outcome is
-// bit-identical at any worker count.
+// bit-identical at any worker count. The loop is the one RunScale runs
+// (loop.go): the fleet's tenants enter it as slots that are resident and
+// awake every hour, so nothing is ever stamped, hibernated or swept.
 func (f *Fleet) RunOps(spec Spec, cfg OpsConfig) (*OpsResult, error) {
-	return f.runOps(spec, cfg, controlplane.NewMemStore())
-}
-
-// runOps is RunOps over an explicit backing store (tests inject a
-// persisting or crash-prone store through here).
-func (f *Fleet) runOps(spec Spec, cfg OpsConfig, mem controlplane.Store) (*OpsResult, error) {
-	store := mem
-	var hub *telemetry.Hub
-	var ch *chaosHarness
-	if cfg.Chaos.Enabled {
-		ch = newChaosHarness(cfg.Chaos, spec.Seed, mem)
-		store, hub = ch.wrapped, ch.hub
-	}
 	if cfg.Plane.Metrics == nil {
 		cfg.Plane.Metrics = f.Metrics
 	}
-	cp := controlplane.New(cfg.Plane, f.Clock, store, hub)
-	// manage enrolls a tenant with the current plane incarnation; plane
-	// and step indirect through the crash runner when chaos is on, so a
-	// recovered restart swaps in the rebuilt control plane transparently.
-	// Fault-free audits capture the same enrollment-time index baselines
-	// the chaos harness does (chaos keeps its own copy inside the harness).
-	var auditBaselines map[string]controlplane.InvariantTarget
-	if cfg.AuditInvariants && ch == nil {
-		auditBaselines = make(map[string]controlplane.InvariantTarget)
+	r := &run{
+		seed:          f.spec.Seed,
+		workers:       f.spec.Workers,
+		hours:         cfg.Days * 24,
+		fraction:      1,
+		statements:    cfg.StatementsPerHour,
+		statementsFor: cfg.Hooks.StatementsFor,
+		failoverProb:  cfg.FailoverProb,
+		region:        f.Clock,
+		reg:           f.Metrics,
+		planeCfg:      cfg.Plane,
 	}
-	manage := func(tn *workload.Tenant, s controlplane.Settings) {
-		if auditBaselines != nil {
-			auditBaselines[tn.DB.Name()] = controlplane.InvariantTarget{DB: tn.DB, Baseline: tn.DB.IndexDefs()}
-		}
-		if ch != nil {
-			ch.enroll(tn, s)
-			ch.runner.Plane.Manage(tn.DB, "server-0", s)
-			return
-		}
-		cp.Manage(tn.DB, "server-0", s)
-	}
-	plane := func() *controlplane.ControlPlane {
-		if ch != nil {
-			return ch.runner.Plane
-		}
-		return cp
-	}
-	step := cp.Step
-	if ch != nil {
-		ch.attach(cp, cfg.Plane, f.Clock)
-		step = ch.runner.Step
-	}
+	r.boot(cfg.Chaos, spec.Seed, cfg.AuditInvariants)
 	autoRNG := f.RNG.Child("ops/auto")
-	for _, tn := range f.Tenants {
-		auto := autoRNG.Float64() < cfg.AutoImplementFraction
-		manage(tn, controlplane.Settings{AutoCreate: auto, AutoDrop: auto})
+	// admit enrolls a built tenant as a slot that stays resident and awake
+	// for the whole run and any drain after it: its final hour never comes.
+	admit := func(tn *workload.Tenant, clock *sim.VirtualClock) {
+		st := &slot{name: tn.DB.Name(), auto: autoRNG.Float64() < cfg.AutoImplementFraction,
+			phase: phaseResident, tn: tn, clock: clock, finalHour: math.MaxInt}
+		r.slots = append(r.slots, st)
+		r.enroll(st)
 	}
+	for i, tn := range f.Tenants {
+		admit(tn, f.clocks[i])
+	}
+	hook := func(fn func(*OpsHookContext), hour int) {
+		if fn != nil {
+			fn(&OpsHookContext{Fleet: f, Hour: hour, Plane: r.runner.Plane, Store: r.mem})
+		}
+	}
+	hook(cfg.Hooks.AfterBuild, -1)
+
 	// First/last-window per-query costs for the >2x and >50% statistics.
 	startCosts := make(map[string]map[uint64]float64)
 	startTotal := make(map[string]float64)
-
-	// Per-tenant failover streams (keyed by database name) keep draw
-	// sequences independent of worker scheduling; the shared stream the
-	// serial harness used would interleave draws in completion order.
-	failRNG := make(map[string]*sim.RNG)
-	failStream := func(tn *workload.Tenant) *sim.RNG {
-		name := tn.DB.Name()
-		r, ok := failRNG[name]
-		if !ok {
-			r = f.tenantStream(tn, "ops/failover")
-			failRNG[name] = r
-		}
-		return r
-	}
-	for _, tn := range f.Tenants {
-		failStream(tn)
-	}
-
 	newTenantRNG := f.RNG.Child("ops/new")
-	nextNew := time.Duration(0)
-	if cfg.NewTenantEvery > 0 {
-		nextNew = cfg.NewTenantEvery
-	}
-	hookCtx := func(hour int) *OpsHookContext {
-		return &OpsHookContext{Fleet: f, Hour: hour, Plane: plane(), Store: mem}
-	}
-	if cfg.Hooks.AfterBuild != nil {
-		cfg.Hooks.AfterBuild(hookCtx(-1))
-	}
+	nextNew := cfg.NewTenantEvery
 	start := f.Clock.Now()
-	hours := cfg.Days * 24
-	warmupHours := 24
-	for h := 0; h < hours; h++ {
-		if cfg.Hooks.BeforeHour != nil {
-			cfg.Hooks.BeforeHour(hookCtx(h))
-		}
-		forEachObserved(f.Metrics, f.spec.Workers, len(f.Tenants), func(i int) {
-			tn := f.Tenants[i]
-			n := cfg.StatementsPerHour
-			if cfg.Hooks.StatementsFor != nil {
-				if v := cfg.Hooks.StatementsFor(h, tn.DB.Name()); v >= 0 {
-					n = v
-				}
-			}
-			tn.Run(0, n)
-			if failRNG[tn.DB.Name()].Float64() < cfg.FailoverProb/24 {
-				tn.DB.Failover()
-				f.Metrics.Counter(descFailovers).Inc()
-			}
-		})
-		f.Metrics.Counter(descTenantHours).Add(int64(len(f.Tenants)))
-		f.Clock.Advance(time.Hour)
-		f.alignClocks() // tenants catch up to the region hour tick
-		step()
-		f.alignClocks() // region catches up to index-build time on tenants
+	const warmupHours = 24
+	r.before = func(h int) { hook(cfg.Hooks.BeforeHour, h) }
+	r.barrier = func(h int) error {
 		if h == warmupHours {
 			for _, tn := range f.Tenants {
 				per, total := windowCosts(tn, start, f.Clock.Now())
@@ -377,43 +294,33 @@ func (f *Fleet) runOps(spec Spec, cfg OpsConfig, mem controlplane.Store) (*OpsRe
 				Scale:       spec.Scale,
 				UserIndexes: spec.UserIndexes,
 			}, clock)
-			if err == nil {
-				auto := autoRNG.Float64() < cfg.AutoImplementFraction
-				manage(tn, controlplane.Settings{AutoCreate: auto, AutoDrop: auto})
-				f.addTenant(tn, clock)
-				failStream(tn)
+			if err != nil {
+				return fmt.Errorf("fleet: tenant %d: %w", idx, err)
 			}
+			admit(tn, clock)
+			f.addTenant(tn, clock)
 		}
-		if cfg.Hooks.AfterHour != nil {
-			cfg.Hooks.AfterHour(hookCtx(h))
-		}
+		hook(cfg.Hooks.AfterHour, h)
+		return nil
 	}
-
-	if ch != nil {
-		drained := ch.drain(f)
-		res := &OpsResult{Stats: plane().OpStats(), Plane: plane()}
-		res.Chaos = ch.report(f.Clock.Now(), cfg.Plane, drained)
-		res.Audited = true
-		res.Violations = res.Chaos.Violations
-		res.DrainHours = res.Chaos.DrainHours
-		finishOps(f, plane(), res, startCosts, startTotal)
-		return res, nil
+	if err := r.play(); err != nil {
+		return nil, err
 	}
-	res := &OpsResult{Stats: cp.OpStats(), Plane: cp}
-	if auditBaselines != nil {
-		res.DrainHours = drainInFlight(f, mem, step, 21*24)
-		res.Violations = controlplane.CheckInvariants(mem, auditBaselines, cfg.Plane, f.Clock.Now())
-		res.Audited = true
-		res.Stats = cp.OpStats() // drain steps settle counters
+	res := &OpsResult{
+		Stats:      r.runner.Plane.OpStats(),
+		Plane:      r.runner.Plane,
+		Chaos:      r.chaos,
+		Audited:    r.baselines != nil,
+		Violations: r.violations,
+		DrainHours: r.drainHours,
 	}
-	finishOps(f, cp, res, startCosts, startTotal)
+	finishOps(f, res, startCosts, startTotal)
 	return res, nil
 }
 
 // finishOps computes the end-of-run §8.1 statistics from the last day's
 // query-store windows.
-func finishOps(f *Fleet, cp *controlplane.ControlPlane, res *OpsResult,
-	startCosts map[string]map[uint64]float64, startTotal map[string]float64) {
+func finishOps(f *Fleet, res *OpsResult, startCosts map[string]map[uint64]float64, startTotal map[string]float64) {
 	lastFrom := f.Clock.Now().Add(-24 * time.Hour)
 	for _, tn := range f.Tenants {
 		basePer, baseTotal := startCosts[tn.DB.Name()], startTotal[tn.DB.Name()]
@@ -429,7 +336,7 @@ func finishOps(f *Fleet, cp *controlplane.ControlPlane, res *OpsResult,
 		if baseTotal > 0 && endTotal > 0 && endTotal < baseTotal*0.5 {
 			res.DatabasesHalvedCPU++
 		}
-		if len(cp.ListRecommendations(tn.DB.Name())) == 0 {
+		if len(res.Plane.ListRecommendations(tn.DB.Name())) == 0 {
 			res.SteadyStateDatabases++
 		}
 	}

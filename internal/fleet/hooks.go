@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"time"
-
-	"autoindex/internal/controlplane"
-)
+import "autoindex/internal/controlplane"
 
 // OpsHooks lets callers (the adversarial scenario generators in
 // internal/scenario) intervene at deterministic points of an ops run.
@@ -39,33 +35,4 @@ type OpsHookContext struct {
 	// Store is the run's backing record store (the unwrapped one — reads
 	// through it never trip crash fault points).
 	Store controlplane.Store
-}
-
-// drainInFlight advances the fleet hour by hour — with every database's
-// analysis and drop scans frozen so no new recommendations spawn —
-// until no record is mid-flight or maxHours is consumed. Both the
-// chaos harness and fault-free invariant audits settle through it;
-// survivors past the budget surface as invariant violations.
-func drainInFlight(f *Fleet, mem controlplane.Store, step func(), maxHours int) int {
-	inFlight := func() bool {
-		return len(mem.Records(func(r *controlplane.Record) bool {
-			return !r.State.Terminal() && r.State != controlplane.StateActive
-		})) > 0
-	}
-	freeze := func(now time.Time) {
-		for _, ds := range mem.Databases() {
-			ds.LastAnalysis = now
-			ds.LastDropScan = now
-			mem.SaveDatabase(ds)
-		}
-	}
-	hours := 0
-	for ; hours < maxHours && inFlight(); hours++ {
-		freeze(f.Clock.Now())
-		f.Clock.Advance(time.Hour)
-		f.alignClocks()
-		step()
-		f.alignClocks()
-	}
-	return hours
 }
