@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-fixtures check bench bench-gate smoke chaos-smoke scenarios race-scenarios fuzz loc ci cover clean
+.PHONY: all build test race vet lint lint-fixtures check bench bench-gate bench-pair smoke chaos-smoke scenarios race-scenarios fuzz loc ci cover clean
 
 all: build test
 
@@ -93,6 +93,17 @@ bench-gate:
 		scale=$$?; mv .bench_scale_baseline.json BENCH_fleet_scale.json; \
 		exit $$((fleet + rec + serve + scale))
 
+# The paired comparison a performance claim is judged by: PARENT's and the
+# working tree's ./bench built once each and run alternately, a fresh seed
+# per pair; prints medians, quartiles, pairs won and any exact count or
+# digest that differs (scripts/bench-pair.sh, EXPERIMENTS.md "Paired runs").
+#   make bench-pair PARENT=HEAD~1 WORKLOAD=serve_mixed [PAIRS=10] [SEED=n]
+PAIRS ?= 10
+
+bench-pair:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair PARENT=<ref> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+	./scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
 # Live-traffic smoke test: builds the autoindexd and sqlload binaries,
 # boots the daemon with both listeners, replays wire-protocol traffic
 # and waits for it to reach the tuner via /livestats. Part of CI.
@@ -142,4 +153,5 @@ ci: check race cover smoke chaos-smoke scenarios bench-gate
 
 clean:
 	$(GO) clean ./...
+	rm -rf .bench-pair
 	rm -f cover.out metrics.json verdicts.json .bench_baseline.json .bench_rec_baseline.json .bench_serve_baseline.json .bench_scale_baseline.json

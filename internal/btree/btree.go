@@ -29,6 +29,9 @@ type Tree struct {
 	order int
 	root  *node
 	size  int
+	// leaves counts leaf nodes. Only New, splitLeaf and Load create a
+	// leaf and deletes never merge, so a counter stays exact.
+	leaves int
 }
 
 type node struct {
@@ -45,7 +48,7 @@ func New(order int) *Tree {
 	if order < 4 {
 		order = 4
 	}
-	return &Tree{order: order, root: &node{leaf: true}}
+	return &Tree{order: order, root: &node{leaf: true}, leaves: 1}
 }
 
 // Len returns the number of entries.
@@ -61,17 +64,7 @@ func (t *Tree) Height() int {
 }
 
 // LeafCount returns the number of leaf nodes, the scan-cost unit.
-func (t *Tree) LeafCount() int {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	count := 0
-	for ; n != nil; n = n.next {
-		count++
-	}
-	return count
-}
+func (t *Tree) LeafCount() int { return t.leaves }
 
 // maxKeys is the maximum keys a node may hold.
 func (t *Tree) maxKeys() int { return t.order - 1 }
@@ -144,6 +137,7 @@ func (t *Tree) splitLeaf(n *node) (*node, value.Key) {
 	n.keys = n.keys[:mid:mid]
 	n.payloads = n.payloads[:mid:mid]
 	n.next = right
+	t.leaves++
 	return right, right.keys[0]
 }
 
@@ -290,10 +284,10 @@ func (t *Tree) Ascend(fn func(Entry) bool) {
 }
 
 // CheckInvariants verifies structural invariants: sorted keys within nodes,
-// separator correctness, leaf chain order and size agreement. It is used by
-// property-based tests.
+// separator correctness, leaf chain order, and size and leaf-count
+// agreement. It is used by property-based tests.
 func (t *Tree) CheckInvariants() error {
-	count := 0
+	count, leaves := 0, 0
 	var prev value.Key
 	var walk func(n *node, lo, hi value.Key) error
 	walk = func(n *node, lo, hi value.Key) error {
@@ -303,6 +297,7 @@ func (t *Tree) CheckInvariants() error {
 			}
 		}
 		if n.leaf {
+			leaves++
 			if len(n.keys) != len(n.payloads) {
 				return fmt.Errorf("btree: leaf keys/payloads mismatch")
 			}
@@ -343,6 +338,9 @@ func (t *Tree) CheckInvariants() error {
 	}
 	if count != t.size {
 		return fmt.Errorf("btree: size %d but %d entries found", t.size, count)
+	}
+	if leaves != t.leaves {
+		return fmt.Errorf("btree: leaf count %d but %d leaves found", t.leaves, leaves)
 	}
 	return nil
 }
@@ -406,7 +404,7 @@ func Load(order int, nodes []DumpedNode) (*Tree, error) {
 		}
 		built[i] = &node{leaf: d.Leaf, keys: d.Keys, payloads: d.Payloads}
 	}
-	size := 0
+	size, leaves := 0, 0
 	var prevLeaf *node
 	var link func(i int) (*node, error)
 	link = func(i int) (*node, error) {
@@ -417,6 +415,7 @@ func Load(order int, nodes []DumpedNode) (*Tree, error) {
 		n := built[i]
 		if n.leaf {
 			size += len(n.keys)
+			leaves++
 			if prevLeaf != nil {
 				prevLeaf.next = n
 			}
@@ -442,7 +441,7 @@ func Load(order int, nodes []DumpedNode) (*Tree, error) {
 			return nil, fmt.Errorf("btree: orphan node %d", i)
 		}
 	}
-	return &Tree{order: order, root: root, size: size}, nil
+	return &Tree{order: order, root: root, size: size, leaves: leaves}, nil
 }
 
 // Order returns the tree's fan-out, for serialization.

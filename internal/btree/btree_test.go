@@ -174,8 +174,23 @@ func TestHeightAndLeafCountGrow(t *testing.T) {
 	}
 }
 
+// chainLeaves counts leaves the way LeafCount used to: along the chain.
+func chainLeaves(t *Tree) int {
+	n := t.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	count := 0
+	for ; n != nil; n = n.next {
+		count++
+	}
+	return count
+}
+
 // TestQuickInsertDeleteMatchesMap is a property test: a tree behaves like
-// a sorted map under arbitrary interleaved inserts and deletes.
+// a sorted map under arbitrary interleaved inserts and deletes, and its
+// leaf counter equals the walked leaf chain, also after a Dump/Load
+// round trip.
 func TestQuickInsertDeleteMatchesMap(t *testing.T) {
 	f := func(ops []int16, seed int64) bool {
 		tr := New(6)
@@ -200,6 +215,13 @@ func TestQuickInsertDeleteMatchesMap(t *testing.T) {
 			if !ok || p[0].I != v {
 				return false
 			}
+		}
+		loaded, err := Load(tr.Order(), tr.Dump())
+		if err != nil || loaded.CheckInvariants() != nil {
+			return false
+		}
+		if tr.LeafCount() != chainLeaves(tr) || loaded.LeafCount() != chainLeaves(tr) {
+			return false
 		}
 		return tr.CheckInvariants() == nil
 	}

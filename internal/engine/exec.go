@@ -345,28 +345,49 @@ func compilePreds(preds []sqlparser.Predicate, lay *layout) (func(value.Row) boo
 
 // ---- access sources ----
 
-// heapScanSource scans a heap, charging pages incrementally.
-type heapScanSource struct {
-	rows       []value.Row
+// seqScanSource streams a table in physical order, from a heap cursor or
+// the clustered tree's iterator: one page on the first pull, then
+// perRowPage and one row per row handed out. Nothing is read ahead, so a
+// consumer that stops early (TOP n) is charged, and allocates, only for
+// what it took. The caller holds d.mu until the source is dropped.
+type seqScanSource struct {
+	heap       *storage.Cursor // nil for a clustered table
+	clustered  *btree.Iterator
 	meter      *executor.Meter
 	perRowPage float64
 	charged    bool
-	i          int
 }
 
-func (s *heapScanSource) Next() (value.Row, bool) {
+func (s *seqScanSource) Next() (value.Row, bool) {
 	if !s.charged {
 		s.meter.ChargePages(1)
 		s.charged = true
 	}
-	if s.i >= len(s.rows) {
-		return nil, false
+	var row value.Row
+	if s.heap != nil {
+		rid, r, ok := s.heap.Next()
+		if !ok {
+			return nil, false
+		}
+		row = withRID(r, rid)
+	} else {
+		e, ok := s.clustered.Next()
+		if !ok {
+			return nil, false
+		}
+		row = e.Payload
 	}
-	r := s.rows[s.i]
-	s.i++
 	s.meter.ChargePages(s.perRowPage)
 	s.meter.ChargeRows(1)
-	return r, true
+	return row, true
+}
+
+// withRID returns a heap row in tableLayout shape: the base columns and
+// the hidden RID column.
+func withRID(base value.Row, rid storage.RID) value.Row {
+	row := make(value.Row, 0, len(base)+1)
+	row = append(row, base...)
+	return append(row, value.NewInt(int64(rid)))
 }
 
 // compileAccess builds the source for a base access node. It returns the
@@ -388,24 +409,14 @@ func (d *Database) compileAccess(n *optimizer.Node, meter *executor.Meter) (exec
 
 func (d *Database) compileSeqScan(n *optimizer.Node, t *tableData, meter *executor.Meter) (executor.Source, *layout, error) {
 	lay := d.tableLayout(t, n.Alias)
-	var rows []value.Row
+	scan := &seqScanSource{meter: meter, perRowPage: 1.0 / float64(storage.RowsPerPage(t.def.RowWidth()))}
 	if t.heap != nil {
-		t.heap.Scan(func(rid storage.RID, r value.Row) bool {
-			row := make(value.Row, 0, len(r)+1)
-			row = append(row, r...)
-			row = append(row, value.NewInt(int64(rid)))
-			rows = append(rows, row)
-			return true
-		})
+		scan.heap = t.heap.Cursor()
 	} else {
-		t.clustered.Ascend(func(e btree.Entry) bool {
-			rows = append(rows, e.Payload)
-			return true
-		})
+		scan.clustered = t.clustered.Seek(nil, true, nil, true)
 		d.usage.RecordScan(optimizer.ClusteredIndexName(t.def.Name), t.def.Name, d.clock.Now())
 	}
-	perRow := 1.0 / float64(storage.RowsPerPage(t.def.RowWidth()))
-	var src executor.Source = &heapScanSource{rows: rows, meter: meter, perRowPage: perRow}
+	var src executor.Source = scan
 	if len(n.Residual) > 0 {
 		pred, err := compilePreds(n.Residual, lay)
 		if err != nil {
@@ -667,10 +678,7 @@ func (d *Database) fetchByLocator(t *tableData, loc value.Key, meter *executor.M
 	if !ok {
 		return nil, false
 	}
-	row := make(value.Row, 0, len(base)+1)
-	row = append(row, base...)
-	row = append(row, value.NewInt(int64(rid)))
-	return row, true
+	return withRID(base, rid), true
 }
 
 // compileClusteredSeek seeks the clustered index by a primary-key prefix.

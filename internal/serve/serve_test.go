@@ -44,6 +44,16 @@ func mustExec(t testing.TB, db *engine.Database, sql string) {
 // the test. The returned registry is the one receiving serve.* metrics.
 func startServer(t testing.TB, cfg Config) (*Server, string, *metrics.Registry) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startServerOn(t, cfg, ln)
+}
+
+// startServerOn is startServer on a listener the test supplies.
+func startServerOn(t testing.TB, cfg Config, ln net.Listener) (*Server, string, *metrics.Registry) {
+	t.Helper()
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -51,10 +61,6 @@ func startServer(t testing.TB, cfg Config) (*Server, string, *metrics.Registry) 
 		cfg.Password = testPassword
 	}
 	srv := New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

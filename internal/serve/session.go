@@ -16,6 +16,10 @@ import (
 // session is one authenticated client connection bound to one tenant
 // database. Statement errors are reported as ERR packets and keep the
 // session alive; protocol or I/O errors tear it down.
+//
+// Handlers only queue response packets (writeOK, writeErr, writeResultset,
+// the prepare reply); run flushes once per turn, so no handler can forget
+// to and a reply of hundreds of row packets is not a write each.
 type session struct {
 	srv  *Server
 	conn *wire.Conn
@@ -29,6 +33,9 @@ type session struct {
 	nextStmt uint32
 	// pending counts captured statements since the last capture batch.
 	pending int
+	// buf is the payload every column definition and row is encoded into;
+	// QueuePacket has copied it out by the time it is overwritten.
+	buf []byte
 }
 
 type preparedStmt struct {
@@ -43,36 +50,41 @@ var errClientGone = errors.New("serve: session ended")
 func (s *session) run() {
 	defer s.conn.Close()
 	defer s.flushPending()
-	if err := s.handshake(); err != nil {
-		return
-	}
+	turn := s.handshake
 	for {
-		select {
-		case <-s.srv.done:
-			_ = s.writeErr(wire.CodeServerShutdown, "server shutting down")
-			return
-		default:
-		}
-		s.conn.ResetSeq()
-		_ = s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.ReadTimeout))
-		p, err := s.conn.ReadPacket()
-		if errors.Is(err, wire.ErrPacketTooLarge) {
-			if s.writeErr(wire.CodePacketTooLarge, "packet bigger than max_allowed_packet") != nil {
-				return
-			}
-			continue
-		}
-		if err != nil {
+		err := turn()
+		// The one flush of every response, the farewell ERR of a session
+		// that is ending included.
+		if s.conn.Flush() != nil || err != nil {
 			return
 		}
-		if len(p) == 0 {
-			_ = s.writeErr(wire.CodeMalformedPacket, "empty command packet")
-			return
-		}
-		if s.dispatch(p) != nil {
-			return
-		}
+		turn = s.command
 	}
+}
+
+// command reads one command packet and queues its response; a non-nil
+// return ends the session.
+func (s *session) command() error {
+	select {
+	case <-s.srv.done:
+		_ = s.writeErr(wire.CodeServerShutdown, "server shutting down")
+		return errClientGone
+	default:
+	}
+	s.conn.ResetSeq()
+	_ = s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.ReadTimeout))
+	p, err := s.conn.ReadPacket()
+	if errors.Is(err, wire.ErrPacketTooLarge) {
+		return s.writeErr(wire.CodePacketTooLarge, "packet bigger than max_allowed_packet")
+	}
+	if err != nil {
+		return err
+	}
+	if len(p) == 0 {
+		_ = s.writeErr(wire.CodeMalformedPacket, "empty command packet")
+		return errClientGone
+	}
+	return s.dispatch(p)
 }
 
 // dispatch routes one command packet; a non-nil return ends the session.
@@ -101,6 +113,8 @@ func (s *session) dispatch(p []byte) error {
 }
 
 // handshake runs the greeting/auth exchange and selects the database.
+// The greeting is a turn of its own and is sent at once; the verdict is
+// queued like any response.
 func (s *session) handshake() error {
 	seed := make([]byte, 20)
 	if _, err := rand.Read(seed); err != nil {
@@ -213,29 +227,34 @@ func (s *session) execQuery(sql string, binary bool) error {
 // writeResultset encodes column definitions and rows, EOF-delimited.
 func (s *session) writeResultset(res *engine.Result, binary bool) error {
 	cols := s.columnDefs(res)
-	if err := s.conn.WritePacket(wire.AppendLenencInt(nil, uint64(len(cols)))); err != nil {
+	if err := s.conn.QueuePacket(wire.AppendLenencInt(s.buf[:0], uint64(len(cols)))); err != nil {
 		return err
 	}
-	for _, c := range cols {
-		if err := s.conn.WritePacket(wire.EncodeColumn(c)); err != nil {
-			return err
-		}
-	}
-	if err := s.conn.WritePacket(wire.EncodeEOF()); err != nil {
+	if err := s.writeColumns(cols); err != nil {
 		return err
 	}
 	for _, row := range res.Rows {
-		var p []byte
 		if binary {
-			p = wire.EncodeBinaryRow(cols, row)
+			s.buf = wire.AppendBinaryRow(s.buf[:0], cols, row)
 		} else {
-			p = wire.EncodeTextRow(row)
+			s.buf = wire.AppendTextRow(s.buf[:0], row)
 		}
-		if err := s.conn.WritePacket(p); err != nil {
+		if err := s.conn.QueuePacket(s.buf); err != nil {
 			return err
 		}
 	}
-	return s.conn.WritePacket(wire.EncodeEOF())
+	return s.conn.QueuePacket(wire.EncodeEOF())
+}
+
+// writeColumns queues a block of column definitions and its EOF.
+func (s *session) writeColumns(cols []wire.Column) error {
+	for _, c := range cols {
+		s.buf = wire.AppendColumn(s.buf[:0], c)
+		if err := s.conn.QueuePacket(s.buf); err != nil {
+			return err
+		}
+	}
+	return s.conn.QueuePacket(wire.EncodeEOF())
 }
 
 // columnDefs derives wire column types from the result's values: a
@@ -295,21 +314,14 @@ func (s *session) stmtPrepare(sql string) error {
 	resp = wire.AppendUint16(resp, uint16(n)) // param count
 	resp = append(resp, 0)                    // filler
 	resp = wire.AppendUint16(resp, 0)         // warnings
-	if err := s.conn.WritePacket(resp); err != nil {
+	if err := s.conn.QueuePacket(resp); err != nil || n == 0 {
 		return err
 	}
-	if n > 0 {
-		for i := 0; i < n; i++ {
-			def := wire.Column{Schema: s.dbName, Name: "?", Type: wire.TypeVarString}
-			if err := s.conn.WritePacket(wire.EncodeColumn(def)); err != nil {
-				return err
-			}
-		}
-		if err := s.conn.WritePacket(wire.EncodeEOF()); err != nil {
-			return err
-		}
+	params := make([]wire.Column, n)
+	for i := range params {
+		params[i] = wire.Column{Schema: s.dbName, Name: "?", Type: wire.TypeVarString}
 	}
-	return nil
+	return s.writeColumns(params)
 }
 
 func (s *session) stmtExecute(p []byte) error {
@@ -336,11 +348,11 @@ func (s *session) stmtExecute(p []byte) error {
 func (s *session) nudge() { _ = s.conn.SetReadDeadline(time.Now()) }
 
 func (s *session) writeOK(ok wire.OK) error {
-	return s.conn.WritePacket(wire.EncodeOK(ok))
+	return s.conn.QueuePacket(wire.EncodeOK(ok))
 }
 
 func (s *session) writeErr(code uint16, msg string) error {
-	return s.conn.WritePacket(wire.EncodeErr(code, msg))
+	return s.conn.QueuePacket(wire.EncodeErr(code, msg))
 }
 
 // errToCode maps engine sentinel errors to wire error codes.

@@ -20,6 +20,12 @@ const MaxPayload = 1<<24 - 1
 // but their contents are discarded.
 var ErrPacketTooLarge = errors.New("wire: packet exceeds the maximum allowed size")
 
+// writeBufSize is bufio's default, kept by measurement: a write per 4 KB
+// instead of per packet was the whole gain (a ~13 KB serve_mixed reply:
+// ~700 writes to 4), and 16, 32 and 64 KB read the same statements/s in
+// paired runs. A larger reply spills a full buffer at a time.
+const writeBufSize = 4 << 10
+
 // Conn frames a net.Conn into MySQL packets: 3-byte little-endian
 // payload length, 1-byte sequence id, payload. Sequence ids increment
 // per frame and reset to 0 at each command boundary (ResetSeq); both
@@ -30,6 +36,9 @@ type Conn struct {
 	br  *bufio.Reader
 	bw  *bufio.Writer
 	seq uint8
+	// rhdr and whdr are the frame headers being read and written: as
+	// locals they escape through the io interfaces, one allocation a frame.
+	rhdr, whdr [4]byte
 	// maxPayload is the frame-split threshold. It is MaxPayload in
 	// production; tests lower it to exercise continuation frames
 	// without 16MB statements.
@@ -43,7 +52,7 @@ func NewConn(nc net.Conn) *Conn {
 	return &Conn{
 		nc:         nc,
 		br:         bufio.NewReader(nc),
-		bw:         bufio.NewWriter(nc),
+		bw:         bufio.NewWriterSize(nc, writeBufSize),
 		maxPayload: MaxPayload,
 	}
 }
@@ -81,8 +90,8 @@ func (c *Conn) Close() error { return c.nc.Close() }
 
 // readHeader reads one frame header and verifies its sequence id.
 func (c *Conn) readHeader() (int, error) {
-	var h [4]byte
-	if _, err := io.ReadFull(c.br, h[:]); err != nil {
+	h := c.rhdr[:]
+	if _, err := io.ReadFull(c.br, h); err != nil {
 		return 0, err
 	}
 	if h[3] != c.seq {
@@ -114,11 +123,12 @@ func (c *Conn) ReadPacket() ([]byte, error) {
 				return nil, err
 			}
 		} else {
-			frame := make([]byte, n)
-			if _, err := io.ReadFull(c.br, frame); err != nil {
+			// Each frame is read into the tail of the payload it extends.
+			at := len(payload)
+			payload = append(payload, make([]byte, n)...)
+			if _, err := io.ReadFull(c.br, payload[at:]); err != nil {
 				return nil, err
 			}
-			payload = append(payload, frame...)
 		}
 		if n < c.maxPayload {
 			break
@@ -130,27 +140,39 @@ func (c *Conn) ReadPacket() ([]byte, error) {
 	return payload, nil
 }
 
-// WritePacket writes one logical packet, splitting it into frames at
-// the split threshold and flushing the connection. A payload that is an
-// exact multiple of the threshold is terminated by an empty frame, as
-// the protocol requires.
-func (c *Conn) WritePacket(payload []byte) error {
+// QueuePacket appends one logical packet to the write buffer, splitting
+// it into frames at the split threshold. A payload that is an exact
+// multiple of the threshold is terminated by an empty frame, as the
+// protocol requires. Nothing need reach the peer before Flush; the
+// payload has been copied or written on return, so the caller may reuse it.
+func (c *Conn) QueuePacket(payload []byte) error {
 	for len(payload) >= c.maxPayload {
 		if err := c.writeFrame(payload[:c.maxPayload]); err != nil {
 			return err
 		}
 		payload = payload[c.maxPayload:]
 	}
-	if err := c.writeFrame(payload); err != nil {
+	return c.writeFrame(payload)
+}
+
+// Flush sends everything queued.
+func (c *Conn) Flush() error { return c.bw.Flush() }
+
+// WritePacket queues one logical packet and flushes: the form for a
+// message that is a whole turn of the conversation (a client command,
+// the server greeting). A response of several packets queues them all
+// and flushes once.
+func (c *Conn) WritePacket(payload []byte) error {
+	if err := c.QueuePacket(payload); err != nil {
 		return err
 	}
-	return c.bw.Flush()
+	return c.Flush()
 }
 
 func (c *Conn) writeFrame(p []byte) error {
-	h := [4]byte{byte(len(p)), byte(len(p) >> 8), byte(len(p) >> 16), c.seq}
+	c.whdr = [4]byte{byte(len(p)), byte(len(p) >> 8), byte(len(p) >> 16), c.seq}
 	c.seq++
-	if _, err := c.bw.Write(h[:]); err != nil {
+	if _, err := c.bw.Write(c.whdr[:]); err != nil {
 		return err
 	}
 	_, err := c.bw.Write(p)

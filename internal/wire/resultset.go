@@ -22,8 +22,11 @@ type Column struct {
 }
 
 // EncodeColumn renders a column-definition packet (protocol 41).
-func EncodeColumn(col Column) []byte {
-	b := appendLenencString(nil, "def")
+func EncodeColumn(col Column) []byte { return AppendColumn(nil, col) }
+
+// AppendColumn appends a column-definition payload to b.
+func AppendColumn(b []byte, col Column) []byte {
+	b = appendLenencString(b, "def")
 	b = appendLenencString(b, col.Schema)
 	b = appendLenencString(b, col.Table)
 	b = appendLenencString(b, col.Table) // org_table
@@ -61,10 +64,12 @@ func ParseColumn(p []byte) (*Column, error) {
 }
 
 // TypeForKind maps an engine value kind to the wire column type used to
-// describe (and binary-encode) it.
+// describe (and binary-encode) it. A Time is declared a string so that
+// both protocols carry its rendered datetime; LONGLONG would put the raw
+// nanosecond count in a binary row where a text row says "2023-11-14 …".
 func TypeForKind(k value.Kind) byte {
 	switch k {
-	case value.Int, value.Bool, value.Time:
+	case value.Int, value.Bool:
 		return TypeLonglong
 	case value.Float:
 		return TypeDouble
@@ -73,38 +78,49 @@ func TypeForKind(k value.Kind) byte {
 	}
 }
 
-// renderText formats a value for the textual protocol (no SQL quoting —
-// strings travel raw, times in datetime format).
-func renderText(v value.Value) string {
+// appendTextCell appends a value as a length-encoded string in its
+// textual-protocol rendering (no SQL quoting — strings travel raw, times
+// in datetime format), formatting straight into b.
+func appendTextCell(b []byte, v value.Value) []byte {
+	if v.K == value.String {
+		return appendLenencString(b, v.S)
+	}
+	// Every other rendering is far below 251 bytes, the longest a
+	// one-byte length prefix can announce, so the prefix is patched in
+	// after formatting.
+	at := len(b)
+	b = append(b, 0)
 	switch v.K {
 	case value.Int:
-		return strconv.FormatInt(v.I, 10)
+		b = strconv.AppendInt(b, v.I, 10)
 	case value.Float:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case value.String:
-		return v.S
+		b = strconv.AppendFloat(b, v.F, 'g', -1, 64)
 	case value.Bool:
 		if v.I != 0 {
-			return "1"
+			b = append(b, '1')
+		} else {
+			b = append(b, '0')
 		}
-		return "0"
 	case value.Time:
-		return v.Time().Format("2006-01-02 15:04:05")
-	default:
-		return ""
+		b = v.Time().AppendFormat(b, "2006-01-02 15:04:05")
 	}
+	b[at] = byte(len(b) - at - 1)
+	return b
 }
 
 // EncodeTextRow renders one row of the textual protocol: each cell a
 // length-encoded string, NULL as the 0xfb marker byte.
-func EncodeTextRow(row []value.Value) []byte {
-	var b []byte
+func EncodeTextRow(row []value.Value) []byte { return AppendTextRow(nil, row) }
+
+// AppendTextRow appends a textual row payload to b. A session encodes
+// every row of every response into one buffer this way.
+func AppendTextRow(b []byte, row []value.Value) []byte {
 	for _, v := range row {
 		if v.IsNull() {
 			b = append(b, 0xfb)
 			continue
 		}
-		b = appendLenencString(b, renderText(v))
+		b = appendTextCell(b, v)
 	}
 	return b
 }
@@ -115,9 +131,11 @@ type TextCell struct {
 	Text string
 }
 
-// ParseTextRow decodes a textual row into n cells.
+// ParseTextRow decodes a textual row into n cells. The payload becomes
+// one string and every cell's text is a slice of it.
 func ParseTextRow(p []byte, n int) ([]TextCell, error) {
 	r := newReader(p)
+	text := string(p)
 	cells := make([]TextCell, 0, n)
 	for i := 0; i < n; i++ {
 		if r.remaining() > 0 && r.b[r.off] == 0xfb {
@@ -125,7 +143,8 @@ func ParseTextRow(p []byte, n int) ([]TextCell, error) {
 			cells = append(cells, TextCell{Null: true})
 			continue
 		}
-		cells = append(cells, TextCell{Text: r.lenencString()})
+		cell := r.lenencBytes()
+		cells = append(cells, TextCell{Text: text[r.off-len(cell) : r.off]})
 	}
 	if !r.ok() || r.remaining() != 0 {
 		return nil, fmt.Errorf("wire: malformed text row")
@@ -137,12 +156,17 @@ func ParseTextRow(p []byte, n int) ([]TextCell, error) {
 // null bitmap (offset 2), then each non-NULL value encoded by its
 // column's declared type.
 func EncodeBinaryRow(cols []Column, row []value.Value) []byte {
-	bitmap := make([]byte, (len(row)+7+2)/8)
-	b := append([]byte{0x00}, bitmap...)
+	return AppendBinaryRow(nil, cols, row)
+}
+
+// AppendBinaryRow appends a binary row payload to b.
+func AppendBinaryRow(b []byte, cols []Column, row []value.Value) []byte {
+	bitmap := len(b) + 1
+	b = append(append(b, 0x00), make([]byte, (len(row)+7+2)/8)...)
 	for i, v := range row {
 		if v.IsNull() {
 			pos := i + 2
-			b[1+pos/8] |= 1 << uint(pos%8)
+			b[bitmap+pos/8] |= 1 << uint(pos%8)
 			continue
 		}
 		switch cols[i].Type {
@@ -152,7 +176,7 @@ func EncodeBinaryRow(cols []Column, row []value.Value) []byte {
 			f, _ := v.AsFloat()
 			b = appendUint64(b, floatBits(f))
 		default:
-			b = appendLenencString(b, renderText(v))
+			b = appendTextCell(b, v)
 		}
 	}
 	return b
@@ -224,7 +248,7 @@ func EncodeStmtExecute(stmtID uint32, args []value.Value) []byte {
 		case TypeDouble:
 			b = appendUint64(b, floatBits(v.F))
 		default:
-			b = appendLenencString(b, renderText(v))
+			b = appendTextCell(b, v)
 		}
 	}
 	return b

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"autoindex/internal/value"
@@ -232,6 +233,44 @@ func TestTextRowRoundTrip(t *testing.T) {
 	want := []TextCell{{Text: "-42"}, {Null: true}, {Text: "it's"}, {Text: "2.5"}, {Text: "1"}}
 	if !reflect.DeepEqual(cells, want) {
 		t.Fatalf("text row: got %v want %v", cells, want)
+	}
+}
+
+// TestAppendRowsIntoUsedBuffer encodes the way a session does, after
+// bytes already in the buffer: the appended payload must be the one the
+// Encode wrappers produce, whatever precedes it (the binary row's null
+// bitmap and the text cell's length byte are patched in by offset). A
+// string of 300 bytes needs the three-byte length prefix, a Time renders
+// as a datetime in both encodings.
+func TestAppendRowsIntoUsedBuffer(t *testing.T) {
+	row := []value.Value{
+		value.NewNull(),
+		value.NewInt(-42),
+		value.NewString(strings.Repeat("s", 300)),
+		value.NewFloat(2.5),
+		value.NewBool(false),
+		value.Value{K: value.Time, I: 1700000000000000000},
+		value.NewNull(),
+	}
+	cols := []Column{{Type: TypeVarString}, {Type: TypeLonglong}, {Type: TypeVarString}, {Type: TypeDouble},
+		{Type: TypeLonglong}, {Type: TypeForKind(value.Time)}, {Type: TypeLonglong}}
+	prefix := []byte("already queued")
+	if got := AppendTextRow(prefix, row)[len(prefix):]; !bytes.Equal(got, EncodeTextRow(row)) {
+		t.Fatalf("AppendTextRow after a prefix = %x, alone %x", got, EncodeTextRow(row))
+	}
+	if got := AppendBinaryRow(prefix, cols, row)[len(prefix):]; !bytes.Equal(got, EncodeBinaryRow(cols, row)) {
+		t.Fatalf("AppendBinaryRow after a prefix = %x, alone %x", got, EncodeBinaryRow(cols, row))
+	}
+	text, err := ParseTextRow(EncodeTextRow(row), len(row))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary, err := ParseBinaryRow(EncodeBinaryRow(cols, row), cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text[5].Text != "2023-11-14 22:13:20" || binary[5] != text[5] || len(text[2].Text) != 300 || !text[6].Null {
+		t.Fatalf("decoded text %v binary %v", text, binary)
 	}
 }
 
