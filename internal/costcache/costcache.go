@@ -14,9 +14,11 @@
 //   - the query fingerprint is the canonical Query Store hash computed at
 //     ingestion time (sqlparser.Statement.Fingerprint), the same hash DTA
 //     identifies workload statements by, and
-//   - the configuration signature is the WhatIfCatalog overlay signature —
-//     the sorted hypothetical index definitions (name + structural
-//     signature) plus the excluded-index set.
+//   - the configuration signature is WhatIfCatalog.Signature over the
+//     tables the statement references (sqlparser.Tables) — the sorted
+//     hypothetical index definitions (name + structural signature) on
+//     those tables only. An index on a table the statement never touches
+//     cannot enter its plan, so it is not part of the key either.
 //
 // Real (non-hypothetical) indexes are deliberately absent from the key:
 // any DDL that changes them fires a SchemaChange invalidation instead.
@@ -38,20 +40,17 @@
 //
 // The cache is per-tenant and accessed serially by that tenant's tuning
 // sessions, so hit/miss sequences never depend on worker scheduling.
-// Eviction is size-bounded LRU in simulated time: entries carry the
-// tenant's virtual-clock timestamp (never wall time) and the eviction
-// order is the exact access order, maintained as a list — no map
-// iteration is ever consulted, so no map-order leaks.
+// Eviction is size-bounded LRU: the eviction order is the exact access
+// order, maintained as a list — no clock and no map iteration is ever
+// consulted, so neither wall time nor map order leaks.
 package costcache
 
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"autoindex/internal/metrics"
 	"autoindex/internal/optimizer"
-	"autoindex/internal/sim"
 )
 
 // Key identifies one cached pricing: a canonical query fingerprint plus
@@ -92,9 +91,6 @@ type entry struct {
 	key  Key
 	cost float64
 	plan *optimizer.Plan
-	// lastUsed is the tenant's virtual time at the last hit or insert,
-	// recorded for introspection; eviction order is the list order.
-	lastUsed time.Time
 }
 
 // Cache is a size-bounded LRU plan-cost cache for one tenant database.
@@ -103,22 +99,19 @@ type entry struct {
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	clock    sim.Clock
 	reg      *metrics.Registry
 	byKey    map[Key]*list.Element
 	lru      *list.List // front = most recently used
 }
 
-// New returns an empty cache bounded to capacity entries, stamping
-// entries from clock (the tenant's virtual clock). capacity <= 0 uses
-// DefaultCapacity.
-func New(capacity int, clock sim.Clock) *Cache {
+// New returns an empty cache bounded to capacity entries; capacity <= 0
+// uses DefaultCapacity.
+func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	return &Cache{
 		capacity: capacity,
-		clock:    clock,
 		byKey:    make(map[Key]*list.Element),
 		lru:      list.New(),
 	}
@@ -143,7 +136,6 @@ func (c *Cache) Get(k Key) (float64, *optimizer.Plan, bool) {
 	}
 	c.lru.MoveToFront(el)
 	e := el.Value.(*entry)
-	e.lastUsed = c.clock.Now()
 	c.reg.Counter(DescHits).Inc()
 	return e.cost, e.plan, true
 }
@@ -153,14 +145,13 @@ func (c *Cache) Get(k Key) (float64, *optimizer.Plan, bool) {
 func (c *Cache) Put(k Key, cost float64, plan *optimizer.Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.clock.Now()
 	if el, ok := c.byKey[k]; ok {
 		c.lru.MoveToFront(el)
 		e := el.Value.(*entry)
-		e.cost, e.plan, e.lastUsed = cost, plan, now
+		e.cost, e.plan = cost, plan
 		return
 	}
-	c.byKey[k] = c.lru.PushFront(&entry{key: k, cost: cost, plan: plan, lastUsed: now})
+	c.byKey[k] = c.lru.PushFront(&entry{key: k, cost: cost, plan: plan})
 	for c.lru.Len() > c.capacity {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
@@ -209,16 +200,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
-}
-
-// LastUsed returns the simulated-time stamp of k's last use, for
-// introspection and tests.
-func (c *Cache) LastUsed(k Key) (time.Time, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[k]
-	if !ok {
-		return time.Time{}, false
-	}
-	return el.Value.(*entry).lastUsed, true
 }

@@ -3,21 +3,15 @@ package costcache
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"autoindex/internal/metrics"
 	"autoindex/internal/optimizer"
-	"autoindex/internal/sim"
 )
-
-func newClock() *sim.VirtualClock {
-	return sim.NewVirtualClock(sim.DefaultStart)
-}
 
 func k(h uint64, sig string) Key { return Key{QueryHash: h, ConfigSig: sig} }
 
 func TestGetPutRoundTrip(t *testing.T) {
-	c := New(8, newClock())
+	c := New(8)
 	if _, _, ok := c.Get(k(1, "a")); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -34,7 +28,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 func TestLRUEvictionIsAccessOrdered(t *testing.T) {
-	c := New(3, newClock())
+	c := New(3)
 	for i := uint64(0); i < 3; i++ {
 		c.Put(k(i, ""), float64(i), nil)
 	}
@@ -55,7 +49,7 @@ func TestEvictionDeterministic(t *testing.T) {
 	// Two caches driven through the same access sequence hold the same
 	// keys afterwards — eviction never consults map order.
 	run := func() string {
-		c := New(4, newClock())
+		c := New(4)
 		for i := 0; i < 32; i++ {
 			c.Put(k(uint64(i%7), fmt.Sprintf("s%d", i%3)), float64(i), nil)
 			c.Get(k(uint64((i*5)%7), fmt.Sprintf("s%d", (i*2)%3)))
@@ -77,7 +71,7 @@ func TestEvictionDeterministic(t *testing.T) {
 
 func TestInvalidateDropsEverythingAndCounts(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := New(8, newClock())
+	c := New(8)
 	c.SetMetrics(reg)
 	c.Put(k(1, "a"), 1, nil)
 	c.Put(k(2, "a"), 2, nil)
@@ -104,7 +98,7 @@ func TestInvalidateDropsEverythingAndCounts(t *testing.T) {
 
 func TestMetricsCountHitsMissesEvictions(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := New(1, newClock())
+	c := New(1)
 	c.SetMetrics(reg)
 	c.Get(k(1, ""))         // miss
 	c.Put(k(1, ""), 1, nil) //
@@ -119,21 +113,5 @@ func TestMetricsCountHitsMissesEvictions(t *testing.T) {
 	}
 	if v := reg.Counter(DescEvictions).Value(); v != 1 {
 		t.Fatalf("evictions = %d, want 1", v)
-	}
-}
-
-func TestLastUsedTracksSimulatedTime(t *testing.T) {
-	clock := newClock()
-	c := New(8, clock)
-	c.Put(k(1, ""), 1, nil)
-	t0, ok := c.LastUsed(k(1, ""))
-	if !ok || !t0.Equal(clock.Now()) {
-		t.Fatalf("lastUsed = %v ok=%v, want insert-time stamp", t0, ok)
-	}
-	clock.Advance(3 * time.Hour)
-	c.Get(k(1, ""))
-	t1, _ := c.LastUsed(k(1, ""))
-	if got := t1.Sub(t0); got != 3*time.Hour {
-		t.Fatalf("lastUsed advanced by %v, want 3h of simulated time", got)
 	}
 }

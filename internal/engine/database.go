@@ -202,7 +202,7 @@ func New(cfg Config, clock sim.Clock) *Database {
 			colStat:      make(map[string]*stats.ColumnStats),
 			planTxt:      make(map[uint64]string),
 		},
-		costCache:   costcache.New(0, clock),
+		costCache:   costcache.New(0),
 		qs:          querystore.New(clock, cfg.QueryStoreInterval),
 		miDMV:       dmv.NewMissingIndexStore(),
 		usage:       dmv.NewIndexUsageStore(),

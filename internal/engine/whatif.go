@@ -61,15 +61,17 @@ func (s *WhatIfSession) Cost(stmt sqlparser.Statement) (float64, *optimizer.Plan
 	return s.opt.CostStatement(stmt)
 }
 
-// CostQuery is Cost with plan-cost caching: queryHash is the statement's
-// canonical Query Store fingerprint, and (queryHash, current catalog
-// signature) keys the lookup. Misses fall through to the optimizer and
-// fill the cache; hits consume no optimizer-call budget.
+// CostQuery is Cost with plan-cost caching, and the only cached pricing
+// entry point: queryHash is the statement's canonical Query Store
+// fingerprint, and (queryHash, the overlay as the statement's own tables
+// see it) keys the lookup, so hypothetical indexes on tables the statement
+// never references neither miss nor re-price. Misses fall through to the
+// optimizer and fill the cache; hits consume no optimizer-call budget.
 func (s *WhatIfSession) CostQuery(queryHash uint64, stmt sqlparser.Statement) (float64, *optimizer.Plan, error) {
 	if s.DisableCostCache || queryHash == 0 {
 		return s.Cost(stmt)
 	}
-	key := costcache.Key{QueryHash: queryHash, ConfigSig: s.cat.ConfigSignature()}
+	key := costcache.Key{QueryHash: queryHash, ConfigSig: s.cat.Signature(sqlparser.Tables(stmt))}
 	if cost, plan, ok := s.db.costCache.Get(key); ok {
 		return cost, plan, nil
 	}
@@ -79,43 +81,6 @@ func (s *WhatIfSession) CostQuery(queryHash uint64, stmt sqlparser.Statement) (f
 	}
 	s.db.costCache.Put(key, cost, plan)
 	return cost, plan, nil
-}
-
-// CostConfigurations prices stmt under every configuration (each on top
-// of the session's current hypothetical set) in one batch, resolving
-// cached pricings first and forwarding only the misses to the
-// optimizer's batched API. Budget exhaustion mid-batch surfaces as
-// Skipped results, exactly as in optimizer.CostConfigurations.
-func (s *WhatIfSession) CostConfigurations(queryHash uint64, stmt sqlparser.Statement, configs []optimizer.Configuration) ([]optimizer.ConfigCost, error) {
-	if s.DisableCostCache || queryHash == 0 {
-		return s.opt.CostConfigurations(stmt, configs, s.MaxOptimizerCalls)
-	}
-	out := make([]optimizer.ConfigCost, len(configs))
-	var missIdx []int
-	var miss []optimizer.Configuration
-	for i, cfg := range configs {
-		key := costcache.Key{QueryHash: queryHash, ConfigSig: s.cat.ConfigSignatureWith(cfg.Add)}
-		if cost, plan, ok := s.db.costCache.Get(key); ok {
-			out[i] = optimizer.ConfigCost{Cost: cost, Plan: plan}
-			continue
-		}
-		missIdx = append(missIdx, i)
-		miss = append(miss, cfg)
-	}
-	if len(miss) > 0 {
-		res, err := s.opt.CostConfigurations(stmt, miss, s.MaxOptimizerCalls)
-		if err != nil {
-			return nil, err
-		}
-		for j, r := range res {
-			out[missIdx[j]] = r
-			if !r.Skipped {
-				key := costcache.Key{QueryHash: queryHash, ConfigSig: s.cat.ConfigSignatureWith(miss[j].Add)}
-				s.db.costCache.Put(key, r.Cost, r.Plan)
-			}
-		}
-	}
-	return out, nil
 }
 
 // CreateSampledStats simulates DTA building a sampled statistic on the

@@ -15,10 +15,10 @@ import (
 // this one compares a run with the previous commit. Every row hashes the
 // bytes the determinism contract covers — reports, tenant stream, chaos
 // report, audit outcome and the deterministic metrics snapshot — against
-// a constant recorded before the two hour loops were merged, so a
-// refactor of the loop is proven byte-for-byte, not just self-consistent.
-// A deliberate behaviour change re-records the constants (the failure
-// message prints the new value) and says so in CHANGES.md.
+// a recorded constant, so a refactor is proven byte-for-byte, not just
+// self-consistent. A deliberate behaviour change re-records the constants
+// (the failure message prints the new value) and says in CHANGES.md
+// which bytes moved.
 
 // frozenMetrics is Registry.MarshalDeterministic with the named metrics
 // left out.
@@ -120,13 +120,13 @@ func TestFleetOutputsFrozen(t *testing.T) {
 		run  func() string
 		want uint64
 	}{
-		{"ops", func() string { return frozenOps(t, off, false) }, 0x54f3536f57f21482},
-		{"ops/chaos", func() string { return frozenOps(t, on, false) }, 0x594f7f0fd035c223},
-		{"ops/audit", func() string { return frozenOps(t, off, true) }, 0xc8d5c74872a1b42f},
-		{"scale/cap4", func() string { return frozenScale(t, 4, off) }, 0xaa7646c7defa5854},
-		{"scale/cap0", func() string { return frozenScale(t, 0, off) }, 0x5ba0705367256139},
-		{"scale/cap4/chaos", func() string { return frozenScale(t, 4, on) }, 0x3ea4abc9eeafb685},
-		{"scale/cap0/chaos", func() string { return frozenScale(t, 0, on) }, 0x10e120cab7af1b1d},
+		{"ops", func() string { return frozenOps(t, off, false) }, 0x1e1b736cedaf5db9},
+		{"ops/chaos", func() string { return frozenOps(t, on, false) }, 0x8a0dfa823e4a430e},
+		{"ops/audit", func() string { return frozenOps(t, off, true) }, 0xb0c42534abb0f854},
+		{"scale/cap4", func() string { return frozenScale(t, 4, off) }, 0xf536a58f231a114b},
+		{"scale/cap0", func() string { return frozenScale(t, 0, off) }, 0x276bff2f5bc0a31c},
+		{"scale/cap4/chaos", func() string { return frozenScale(t, 4, on) }, 0xf365e1bc1d17cbc1},
+		{"scale/cap0/chaos", func() string { return frozenScale(t, 0, on) }, 0xde7a806752d8f4bf},
 	} {
 		h := fnv.New64a()
 		h.Write([]byte(row.run()))

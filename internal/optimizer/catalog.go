@@ -89,24 +89,11 @@ type WhatIfCatalog struct {
 	Base Catalog
 	// Hypothetical maps lower(table) to added index definitions.
 	hypo map[string][]schema.IndexDef
-	// Excluded hides existing indexes (lower(index name)), letting DTA
-	// evaluate drops as well as creates.
-	excluded map[string]bool
-	// Calls counts catalog planning uses for resource accounting.
-	Calls int64
-
-	// sig memoizes ConfigSignature; sigValid is cleared by every mutator.
-	sig      string
-	sigValid bool
 }
 
 // NewWhatIfCatalog returns an overlay over base.
 func NewWhatIfCatalog(base Catalog) *WhatIfCatalog {
-	return &WhatIfCatalog{
-		Base:     base,
-		hypo:     make(map[string][]schema.IndexDef),
-		excluded: make(map[string]bool),
-	}
+	return &WhatIfCatalog{Base: base, hypo: make(map[string][]schema.IndexDef)}
 }
 
 // AddHypothetical adds a hypothetical index; the definition is marked
@@ -116,7 +103,6 @@ func (w *WhatIfCatalog) AddHypothetical(def schema.IndexDef) {
 	def.Hypothetical = true
 	k := strings.ToLower(def.Table)
 	w.hypo[k] = append(w.hypo[k], def)
-	w.sigValid = false
 }
 
 // RemoveHypothetical removes a previously added hypothetical index by name.
@@ -130,64 +116,30 @@ func (w *WhatIfCatalog) RemoveHypothetical(name string) {
 		}
 		w.hypo[k] = out
 	}
-	w.sigValid = false
 }
 
 // ClearHypothetical removes all hypothetical indexes.
 func (w *WhatIfCatalog) ClearHypothetical() {
 	w.hypo = make(map[string][]schema.IndexDef)
-	w.sigValid = false
 }
 
-// Exclude hides an existing index from planning.
-func (w *WhatIfCatalog) Exclude(indexName string) {
-	w.excluded[strings.ToLower(indexName)] = true
-	w.sigValid = false
-}
-
-// ConfigSignature canonically describes the overlay: the sorted
-// hypothetical index definitions (name plus structural signature — the
-// name matters because cached plans reference indexes by name) and the
-// sorted excluded set. Two catalogs with equal signatures plan every
-// statement identically over the same base catalog, which is what lets
-// the plan-cost cache key on it. The result is memoized until the next
-// mutation.
-func (w *WhatIfCatalog) ConfigSignature() string {
-	if w.sigValid {
-		return w.sig
-	}
-	w.sig = w.signature(nil)
-	w.sigValid = true
-	return w.sig
-}
-
-// ConfigSignatureWith returns the signature the catalog would have if add
-// were also present, without mutating the overlay — the plan-cost cache
-// uses it to probe batched configurations before adding anything.
-func (w *WhatIfCatalog) ConfigSignatureWith(add []schema.IndexDef) string {
-	if len(add) == 0 {
-		return w.ConfigSignature()
-	}
-	return w.signature(add)
-}
-
-func (w *WhatIfCatalog) signature(extra []schema.IndexDef) string {
+// Signature canonically describes the overlay as the given tables
+// (lowercased, as sqlparser.Tables returns them) see it: their sorted
+// hypothetical index definitions, name plus structural signature — the
+// name matters because cached plans reference indexes by name. Two
+// catalogs with equal signatures over the tables a statement references
+// plan it identically over the same base catalog — an index on a table
+// the statement never touches cannot enter its plan — which is what lets
+// the plan-cost cache key on it.
+func (w *WhatIfCatalog) Signature(tables []string) string {
 	var adds []string
-	for _, defs := range w.hypo {
-		for _, d := range defs {
+	for _, t := range tables {
+		for _, d := range w.hypo[t] {
 			adds = append(adds, strings.ToLower(d.Name)+"|"+d.Signature())
 		}
 	}
-	for _, d := range extra {
-		adds = append(adds, strings.ToLower(d.Name)+"|"+d.Signature())
-	}
 	sort.Strings(adds)
-	excl := make([]string, 0, len(w.excluded))
-	for name := range w.excluded {
-		excl = append(excl, name)
-	}
-	sort.Strings(excl)
-	return "+" + strings.Join(adds, ";") + "/-" + strings.Join(excl, ";")
+	return strings.Join(adds, ";")
 }
 
 // Table implements Catalog.
@@ -195,22 +147,13 @@ func (w *WhatIfCatalog) Table(name string) (TableInfo, bool) {
 	return w.Base.Table(name)
 }
 
-// Indexes implements Catalog, overlaying hypothetical definitions and
-// hiding excluded ones.
+// Indexes implements Catalog, overlaying hypothetical definitions.
 func (w *WhatIfCatalog) Indexes(table string) []IndexInfo {
-	base := w.Base.Indexes(table)
-	out := make([]IndexInfo, 0, len(base))
-	for _, ix := range base {
-		if !w.excluded[strings.ToLower(ix.Def.Name)] {
-			out = append(out, ix)
+	out := append([]IndexInfo(nil), w.Base.Indexes(table)...)
+	if t, ok := w.Table(table); ok {
+		for _, def := range w.hypo[strings.ToLower(table)] {
+			out = append(out, HypotheticalIndexInfo(def, t))
 		}
-	}
-	t, ok := w.Table(table)
-	if !ok {
-		return out
-	}
-	for _, def := range w.hypo[strings.ToLower(table)] {
-		out = append(out, HypotheticalIndexInfo(def, t))
 	}
 	return out
 }
@@ -226,5 +169,5 @@ func (w *WhatIfCatalog) String() string {
 	for _, d := range w.hypo {
 		n += len(d)
 	}
-	return fmt.Sprintf("whatif(+%d hypothetical, -%d excluded)", n, len(w.excluded))
+	return fmt.Sprintf("whatif(+%d hypothetical)", n)
 }

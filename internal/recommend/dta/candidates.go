@@ -165,37 +165,33 @@ func candidateDefs(db *engine.Database, stmt sqlparser.Statement, opts Options) 
 	return defs
 }
 
-// screenCandidates prices one statement's candidate shapes in a single
-// batched what-if round-trip (base configuration first, then one
-// configuration per shape) and keeps the shapes that reduce this
-// statement's estimated cost and actually appear in its plan.
+// screenCandidates prices one statement under the base configuration and
+// then under each candidate shape added alone, and keeps the shapes that
+// reduce this statement's estimated cost and actually appear in its plan.
 func screenCandidates(db *engine.Database, ts tunedStatement, defs []schema.IndexDef, session *engine.WhatIfSession) []core.Candidate {
 	if len(defs) == 0 {
 		return nil
 	}
-	configs := make([]optimizer.Configuration, 0, len(defs)+1)
-	configs = append(configs, optimizer.Configuration{})
-	for _, def := range defs {
-		configs = append(configs, optimizer.Configuration{Add: []schema.IndexDef{def}})
-	}
-	results, err := session.CostConfigurations(ts.hash, ts.stmt, configs)
-	if err != nil || results[0].Skipped {
+	base, _, err := session.CostQuery(ts.hash, ts.stmt)
+	if err != nil {
 		return nil
 	}
-	base := results[0].Cost
 	var out []core.Candidate
-	for j, def := range defs {
-		r := results[j+1]
-		if r.Skipped {
-			// Budget ran out mid-batch; later shapes were never priced.
+	for _, def := range defs {
+		session.Catalog().AddHypothetical(def)
+		cost, plan, err := session.CostQuery(ts.hash, ts.stmt)
+		session.Catalog().RemoveHypothetical(def.Name)
+		if err != nil {
+			// The statement priced a moment ago, so this is the call budget
+			// (engine.ErrWhatIfBudget): later shapes are never priced.
 			break
 		}
-		improvement := base - r.Cost
+		improvement := base - cost
 		if improvement <= base*0.01 || improvement <= 0 {
 			continue
 		}
 		used := false
-		for _, ix := range r.Plan.IndexesUsed {
+		for _, ix := range plan.IndexesUsed {
 			if strings.EqualFold(ix, def.Name) {
 				used = true
 				break

@@ -38,6 +38,7 @@ func TestCachedCostingMatchesUncached(t *testing.T) {
 		seeds = append(seeds, s*7919+13)
 	}
 	tiers := []engine.Tier{engine.TierBasic, engine.TierStandard, engine.TierPremium}
+	var accelCalls, plainCalls int64
 	for i, seed := range seeds {
 		tier := tiers[i%len(tiers)]
 		// Two independent, identical tenants: the uncached arm must never
@@ -77,5 +78,20 @@ func TestCachedCostingMatchesUncached(t *testing.T) {
 			t.Errorf("seed %d: accelerated pass used MORE optimizer calls (%d > %d)",
 				seed, accelRes.WhatIfCalls, plainRes.WhatIfCalls)
 		}
+		accelCalls += accelRes.WhatIfCalls
+		plainCalls += plainRes.WhatIfCalls
+	}
+	// The accelerated arm's call count is exact, so it is pinned: a cache
+	// key or screening change that re-inflates what-if calls fails here
+	// rather than only moving a benchmark note. A deliberate change
+	// re-records the constant and says so in CHANGES.md.
+	const wantAccelCalls = 8380
+	if accelCalls != wantAccelCalls {
+		t.Errorf("accelerated arm made %d what-if calls over %d seeds, recorded %d (uncached arm: %d)",
+			accelCalls, len(seeds), wantAccelCalls, plainCalls)
+	}
+	if accelCalls >= plainCalls {
+		t.Errorf("accelerated arm made %d what-if calls, not strictly below the uncached arm's %d",
+			accelCalls, plainCalls)
 	}
 }

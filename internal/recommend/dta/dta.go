@@ -160,11 +160,6 @@ func Run(db *engine.Database, opts Options) (*Result, error) {
 	since := now.Add(-opts.WindowN)
 	reg := db.Metrics()
 	reg.Counter(descPasses).Inc()
-	defer func() {
-		// Pass latency in virtual time: what-if costing and sampled-stats
-		// builds advance the tenant clock, so this measures tuning load.
-		reg.Histogram(descPassMillis).ObserveDuration(db.Clock().Now().Sub(now))
-	}()
 
 	// (a) Workload identification from Query Store (§5.3.2), optionally
 	// compressed to a weighted representative sample whose tail draw

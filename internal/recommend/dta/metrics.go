@@ -2,10 +2,9 @@ package dta
 
 import "autoindex/internal/metrics"
 
-// DTA pass instrumentation (§5.3): how often the tuner runs, how many
-// candidates each pass surfaces and discards, and how long a pass takes
-// in virtual time. What-if optimizer calls are counted by the optimizer
-// package itself (optimizer.whatif_calls).
+// DTA pass instrumentation (§5.3): how often the tuner runs and how many
+// candidates each pass surfaces and discards. What-if optimizer calls are
+// counted by the optimizer package itself (optimizer.whatif_calls).
 var (
 	descPasses = metrics.NewCounterDesc("dta.passes",
 		"DTA recommendation passes started")
@@ -15,7 +14,4 @@ var (
 		"DTA pool candidates dropped for duplicating an existing index")
 	descEnumPruned = metrics.NewCounterDesc("dta.enumeration_pruned",
 		"greedy-enumeration candidate evaluations skipped by exact upper-bound domination")
-	descPassMillis = metrics.NewHistogramDesc("dta.pass_ms",
-		"DTA pass latency in virtual milliseconds",
-		10, 100, 1_000, 10_000, 60_000, 600_000)
 )

@@ -4,7 +4,7 @@ import "autoindex/internal/metrics"
 
 // Missing-index pipeline instrumentation (§5.2): candidates surviving
 // the seek/slope filters versus candidates the merge, existing-index,
-// and classifier stages discard, plus pass latency in virtual time.
+// and classifier stages discard.
 var (
 	descPasses = metrics.NewCounterDesc("mi.passes",
 		"missing-index recommendation passes")
@@ -12,7 +12,4 @@ var (
 		"candidates built from DMV histories (post seek/slope filters)")
 	descCandidatesPruned = metrics.NewCounterDesc("mi.candidates_pruned",
 		"candidates dropped by merging, existing-index dedup, classifier, or the top-k cut")
-	descPassMillis = metrics.NewHistogramDesc("mi.pass_ms",
-		"missing-index pass latency in virtual milliseconds",
-		1, 10, 100, 1_000, 10_000)
 )

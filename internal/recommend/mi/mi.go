@@ -155,10 +155,6 @@ func (r *Recommender) Recommend() []core.Candidate {
 	defer r.mu.Unlock()
 	reg := r.db.Metrics()
 	reg.Counter(descPasses).Inc()
-	start := r.db.Clock().Now()
-	defer func() {
-		reg.Histogram(descPassMillis).ObserveDuration(r.db.Clock().Now().Sub(start))
-	}()
 	// Walk histories in sorted-key order: candidate order feeds merging
 	// and the final impact sort's tie-breaking, so map iteration here
 	// would make the top-k set vary run to run.

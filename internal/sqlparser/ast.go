@@ -508,6 +508,39 @@ func WritePredicates(s Statement) []Predicate {
 	}
 }
 
+// Tables returns the lowercased names of the tables a statement
+// references — a SELECT's FROM chain in order (a self-join once), a
+// write's target — and nil for DDL. These are the only tables whose
+// indexes can enter the statement's plan, which is what lets the
+// plan-cost cache key on the what-if overlay restricted to them.
+func Tables(s Statement) []string {
+	switch st := s.(type) {
+	case *SelectStmt:
+		out := []string{strings.ToLower(st.From.Table)}
+	joins:
+		for _, j := range st.Joins {
+			t := strings.ToLower(j.Table.Table)
+			for _, seen := range out {
+				if seen == t {
+					continue joins
+				}
+			}
+			out = append(out, t)
+		}
+		return out
+	case *InsertStmt:
+		return []string{strings.ToLower(st.Table)}
+	case *UpdateStmt:
+		return []string{strings.ToLower(st.Table)}
+	case *DeleteStmt:
+		return []string{strings.ToLower(st.Table)}
+	case *BulkInsertStmt:
+		return []string{strings.ToLower(st.Table)}
+	default:
+		return nil
+	}
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

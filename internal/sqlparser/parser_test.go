@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -237,5 +238,28 @@ func TestNullLiteral(t *testing.T) {
 	s := MustParse(`SELECT a FROM t WHERE b = NULL`).(*SelectStmt)
 	if !s.Where[0].Val.IsNull() {
 		t.Fatalf("%+v", s.Where[0])
+	}
+}
+
+func TestTables(t *testing.T) {
+	for _, tc := range []struct {
+		sql  string
+		want []string
+	}{
+		{`SELECT a FROM Orders`, []string{"orders"}},
+		{`SELECT o.a FROM Orders o WHERE o.b = 1`, []string{"orders"}},
+		{`SELECT o.a FROM orders o JOIN Customers c ON o.cid = c.id JOIN items i ON i.oid = o.id`, []string{"orders", "customers", "items"}},
+		{`SELECT a.id FROM emp a JOIN Emp b ON a.boss = b.id JOIN dept d ON a.dept = d.id`, []string{"emp", "dept"}},
+		{`INSERT INTO Orders (id) VALUES (1)`, []string{"orders"}},
+		{`UPDATE Orders SET a = 1 WHERE b = 2`, []string{"orders"}},
+		{`DELETE FROM Orders WHERE b = 2`, []string{"orders"}},
+		{`BULK INSERT Orders FROM DATASOURCE feed`, []string{"orders"}},
+		{`CREATE TABLE t (id BIGINT NOT NULL, PRIMARY KEY (id))`, nil},
+		{`CREATE INDEX ix ON t (a)`, nil},
+		{`DROP INDEX ix ON t`, nil},
+	} {
+		if got := Tables(MustParse(tc.sql)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Tables(%s) = %v, want %v", tc.sql, got, tc.want)
+		}
 	}
 }
