@@ -15,13 +15,6 @@ import (
 func (d *Database) compile(n *optimizer.Node, meter *executor.Meter) (executor.Source, *layout, error) {
 	switch n.Kind {
 	case optimizer.KindSeqScan, optimizer.KindIndexScan, optimizer.KindIndexSeek:
-		if strings.EqualFold(n.Index, optimizer.ClusteredIndexName(n.Table)) {
-			t, ok := d.tables[strings.ToLower(n.Table)]
-			if !ok {
-				return nil, nil, fmt.Errorf("engine: unknown table %q", n.Table)
-			}
-			return d.compileClusteredSeek(n, t, meter)
-		}
 		return d.compileAccess(n, meter)
 	case optimizer.KindNLJoin:
 		return d.compileNLJoin(n, meter)

@@ -367,26 +367,14 @@ type tableData struct {
 	rowCount  int64
 }
 
+// pkOrdinals resolves the primary-key columns to row ordinals; a write
+// statement resolves them once, not per row.
 func (t *tableData) pkOrdinals() []int {
 	out := make([]int, len(t.def.PrimaryKey))
 	for i, c := range t.def.PrimaryKey {
 		out[i] = t.def.ColumnIndex(c)
 	}
 	return out
-}
-
-// locatorOf returns the unique row locator for a row: the primary key for
-// clustered tables, the RID for heaps.
-func (t *tableData) locatorOf(row value.Row, rid storage.RID) value.Key {
-	if t.clustered != nil {
-		ords := t.pkOrdinals()
-		k := make(value.Key, len(ords))
-		for i, o := range ords {
-			k[i] = row[o]
-		}
-		return k
-	}
-	return value.Key{value.NewInt(int64(rid))}
 }
 
 func (t *tableData) dataPages() int64 {
@@ -415,18 +403,25 @@ type indexData struct {
 	sizeBytes int64
 }
 
-func (ix *indexData) entryFor(t *tableData, row value.Row, loc value.Key) (value.Key, value.Row) {
+// keyFor returns the tree key of row's entry: the index key columns, then
+// the locator. Deleting an entry needs only this.
+func (ix *indexData) keyFor(row value.Row, loc value.Key) value.Key {
 	key := make(value.Key, 0, len(ix.keyOrds)+len(loc))
 	for _, o := range ix.keyOrds {
 		key = append(key, row[o])
 	}
-	key = append(key, loc...)
+	return append(key, loc...)
+}
+
+// entryFor returns row's whole entry: keyFor and the payload, the included
+// columns then the locator.
+func (ix *indexData) entryFor(row value.Row, loc value.Key) (value.Key, value.Row) {
+	key := ix.keyFor(row, loc)
 	payload := make(value.Row, 0, len(ix.inclOrds)+len(loc))
 	for _, o := range ix.inclOrds {
 		payload = append(payload, row[o])
 	}
-	payload = append(payload, loc...)
-	return key, payload
+	return key, append(payload, loc...)
 }
 
 // ---- catalog implementation (optimizer.Catalog) ----

@@ -156,7 +156,7 @@ func (d *Database) CreateIndexWithReport(def schema.IndexDef, opts IndexBuildOpt
 		ix.inclOrds = append(ix.inclOrds, t.def.ColumnIndex(c))
 	}
 	insert := func(row value.Row, loc value.Key) {
-		k, p := ix.entryFor(t, row, loc)
+		k, p := ix.entryFor(row, loc)
 		ix.tree.Insert(k, p)
 	}
 	if t.clustered != nil {
@@ -338,7 +338,7 @@ func (d *Database) DropColumn(table, column string) error {
 		}
 		repl := btree.New(btree.DefaultOrder)
 		reinsert := func(row value.Row, loc value.Key) {
-			k, p := ix.entryFor(t, row, loc)
+			k, p := ix.entryFor(row, loc)
 			repl.Insert(k, p)
 		}
 		if t.clustered != nil {

@@ -39,6 +39,7 @@ func (d *Database) execInsert(s *sqlparser.InsertStmt, meter *executor.Meter) (i
 	if err != nil {
 		return 0, err
 	}
+	pk, indexes := t.pkOrdinals(), d.tableIndexes(t.def.Name)
 	var n int64
 	for _, vals := range s.Rows {
 		if len(vals) != len(ords) {
@@ -51,7 +52,7 @@ func (d *Database) execInsert(s *sqlparser.InsertStmt, meter *executor.Meter) (i
 		for i, o := range ords {
 			row[o] = coerce(vals[i], t.def.Columns[o].Kind)
 		}
-		if err := d.insertRowLocked(t, row, meter); err != nil {
+		if err := d.insertRowLocked(t, pk, indexes, row, meter); err != nil {
 			return n, err
 		}
 		n++
@@ -97,13 +98,14 @@ func coerce(v value.Value, k value.Kind) value.Value {
 	}
 }
 
-// insertRowLocked inserts one fully-formed row; caller holds d.mu.
-func (d *Database) insertRowLocked(t *tableData, row value.Row, meter *executor.Meter) error {
+// insertRowLocked inserts one fully-formed row, given the table's
+// primary-key ordinals and its indexes in tableIndexes order; caller holds
+// d.mu.
+func (d *Database) insertRowLocked(t *tableData, pk []int, indexes []*indexData, row value.Row, meter *executor.Meter) error {
 	var loc value.Key
 	if t.clustered != nil {
-		ords := t.pkOrdinals()
-		key := make(value.Key, len(ords))
-		for i, o := range ords {
+		key := make(value.Key, len(pk))
+		for i, o := range pk {
 			if row[o].IsNull() {
 				return fmt.Errorf("engine: NULL primary key in table %q", t.def.Name)
 			}
@@ -121,8 +123,8 @@ func (d *Database) insertRowLocked(t *tableData, row value.Row, meter *executor.
 		loc = value.Key{value.NewInt(int64(rid))}
 	}
 	t.rowCount++
-	for _, ix := range d.tableIndexes(t.def.Name) {
-		k, p := ix.entryFor(t, row, loc)
+	for _, ix := range indexes {
+		k, p := ix.entryFor(row, loc)
 		ix.tree.Insert(k, p)
 		meter.ChargePageWrites(float64(ix.tree.Height()))
 		meter.ChargeRows(1)
@@ -142,6 +144,7 @@ func (d *Database) execBulkInsert(s *sqlparser.BulkInsertStmt, meter *executor.M
 		return 0, fmt.Errorf("engine: no bulk data source %q registered", s.Source)
 	}
 	rows := src(s.RowEstimate)
+	pk, indexes := t.pkOrdinals(), d.tableIndexes(t.def.Name)
 	var n int64
 	for _, row := range rows {
 		if len(row) != len(t.def.Columns) {
@@ -150,7 +153,7 @@ func (d *Database) execBulkInsert(s *sqlparser.BulkInsertStmt, meter *executor.M
 		for i := range row {
 			row[i] = coerce(row[i], t.def.Columns[i].Kind)
 		}
-		if err := d.insertRowLocked(t, row, meter); err != nil {
+		if err := d.insertRowLocked(t, pk, indexes, row, meter); err != nil {
 			return n, err
 		}
 		n++
@@ -166,8 +169,10 @@ type matchedRow struct {
 }
 
 // collectMatches runs the access child of a write plan and extracts base
-// rows + locators.
-func (d *Database) collectMatches(access *optimizer.Node, t *tableData, meter *executor.Meter) ([]matchedRow, error) {
+// rows + locators. The rows are the source's own, not copies: no one
+// writes a row the source hands out, and execUpdate clones one before it
+// modifies it.
+func (d *Database) collectMatches(access *optimizer.Node, t *tableData, pk []int, meter *executor.Meter) ([]matchedRow, error) {
 	src, lay, err := d.compile(access, meter)
 	if err != nil {
 		return nil, err
@@ -180,11 +185,10 @@ func (d *Database) collectMatches(access *optimizer.Node, t *tableData, meter *e
 		if !ok {
 			break
 		}
-		m := matchedRow{row: append(value.Row(nil), r[:ncols]...)}
+		m := matchedRow{row: r[:ncols]}
 		if t.clustered != nil {
-			ords := t.pkOrdinals()
-			k := make(value.Key, len(ords))
-			for i, o := range ords {
+			k := make(value.Key, len(pk))
+			for i, o := range pk {
 				k[i] = m.row[o]
 			}
 			m.loc = k
@@ -207,7 +211,8 @@ func (d *Database) execUpdate(root *optimizer.Node, s *sqlparser.UpdateStmt, met
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown table %q", s.Table)
 	}
-	matches, err := d.collectMatches(root.Children[0], t, meter)
+	pk := t.pkOrdinals()
+	matches, err := d.collectMatches(root.Children[0], t, pk, meter)
 	if err != nil {
 		return 0, err
 	}
@@ -221,16 +226,18 @@ func (d *Database) execUpdate(root *optimizer.Node, s *sqlparser.UpdateStmt, met
 	}
 	pkTouched := false
 	for _, a := range s.Set {
-		for _, pk := range t.def.PrimaryKey {
-			if strings.EqualFold(a.Column, pk) {
+		for _, col := range t.def.PrimaryKey {
+			if strings.EqualFold(a.Column, col) {
 				pkTouched = true
 			}
 		}
 	}
+	// Index maintenance. When the PK (locator) changes, every index entry
+	// moves; otherwise only the indexes holding a modified column do.
 	var affected []*indexData
 	for _, ix := range d.tableIndexes(t.def.Name) {
 		for _, a := range s.Set {
-			if ix.def.HasColumn(a.Column) {
+			if pkTouched || ix.def.HasColumn(a.Column) {
 				affected = append(affected, ix)
 				break
 			}
@@ -247,9 +254,8 @@ func (d *Database) execUpdate(root *optimizer.Node, s *sqlparser.UpdateStmt, met
 		if t.clustered != nil {
 			if pkTouched {
 				t.clustered.Delete(m.loc)
-				ords := t.pkOrdinals()
-				k := make(value.Key, len(ords))
-				for i, o := range ords {
+				k := make(value.Key, len(pk))
+				for i, o := range pk {
 					k[i] = newRow[o]
 				}
 				if _, exists := t.clustered.Get(k); exists {
@@ -268,16 +274,9 @@ func (d *Database) execUpdate(root *optimizer.Node, s *sqlparser.UpdateStmt, met
 			}
 			meter.ChargePageWrites(1)
 		}
-		// Index maintenance. When the PK (locator) changes, every index
-		// entry moves; otherwise only affected indexes do.
-		maintain := affected
-		if pkTouched {
-			maintain = d.tableIndexes(t.def.Name)
-		}
-		for _, ix := range maintain {
-			oldK, _ := ix.entryFor(t, m.row, m.loc)
-			ix.tree.Delete(oldK)
-			newK, newP := ix.entryFor(t, newRow, newLoc)
+		for _, ix := range affected {
+			ix.tree.Delete(ix.keyFor(m.row, m.loc))
+			newK, newP := ix.entryFor(newRow, newLoc)
 			ix.tree.Insert(newK, newP)
 			meter.ChargePageWrites(2 * float64(ix.tree.Height()))
 			meter.ChargeRows(1)
@@ -294,10 +293,11 @@ func (d *Database) execDelete(root *optimizer.Node, s *sqlparser.DeleteStmt, met
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown table %q", s.Table)
 	}
-	matches, err := d.collectMatches(root.Children[0], t, meter)
+	matches, err := d.collectMatches(root.Children[0], t, t.pkOrdinals(), meter)
 	if err != nil {
 		return 0, err
 	}
+	indexes := d.tableIndexes(t.def.Name)
 	var n int64
 	for _, m := range matches {
 		if t.clustered != nil {
@@ -310,9 +310,8 @@ func (d *Database) execDelete(root *optimizer.Node, s *sqlparser.DeleteStmt, met
 			meter.ChargePageWrites(1)
 		}
 		t.rowCount--
-		for _, ix := range d.tableIndexes(t.def.Name) {
-			k, _ := ix.entryFor(t, m.row, m.loc)
-			ix.tree.Delete(k)
+		for _, ix := range indexes {
+			ix.tree.Delete(ix.keyFor(m.row, m.loc))
 			meter.ChargePageWrites(float64(ix.tree.Height()))
 			meter.ChargeRows(1)
 			d.usage.RecordUpdate(ix.def.Name, t.def.Name)

@@ -299,7 +299,12 @@ func (d *Database) tableLayout(t *tableData, alias string) *layout {
 
 // ---- predicate compilation ----
 
+// compilePreds compiles a conjunction against a row layout; it returns a
+// nil test when there is nothing to test.
 func compilePreds(preds []sqlparser.Predicate, lay *layout) (func(value.Row) bool, error) {
+	if len(preds) == 0 {
+		return nil, nil
+	}
 	type cp struct {
 		idx int
 		op  sqlparser.CompareOp
@@ -343,43 +348,155 @@ func compilePreds(preds []sqlparser.Predicate, lay *layout) (func(value.Row) boo
 	}, nil
 }
 
-// ---- access sources ----
+// ---- the access source ----
 
-// seqScanSource streams a table in physical order, from a heap cursor or
-// the clustered tree's iterator: one page on the first pull, then
-// perRowPage and one row per row handed out. Nothing is read ahead, so a
-// consumer that stops early (TOP n) is charged, and allocates, only for
-// what it took. The caller holds d.mu until the source is dropped.
-type seqScanSource struct {
-	heap       *storage.Cursor // nil for a clustered table
-	clustered  *btree.Iterator
-	meter      *executor.Meter
-	perRowPage float64
-	charged    bool
+// accessSource is every base-table access: a heap or clustered sequential
+// scan, a clustered seek, a covering index scan or seek, and a lookup
+// seek. Per stored row it
+//
+//  1. reads the row as stored: the heap or clustered row itself, the base
+//     row a lookup entry's locator fetches, or a covering entry rendered
+//     into a scratch row the source owns;
+//  2. charges the access's pages and one row, then one row for the
+//     strict-bound test and one for the residual, each run only when the
+//     row passed the one before — in this order, because CPU units are a
+//     float sum and TestScanMeteringFrozen pins it to the bit;
+//  3. builds the output row only for a row that passed: withRID for a
+//     heap row, the stored row itself for a clustered one, a copy of the
+//     scratch row for a covering entry.
+//
+// A stored row can be handed out uncopied because none is ever written
+// in place: btree.Insert and heap.Update swap the slice. So every row the
+// source hands out is one that no one else writes, and a rejected row
+// costs no allocation. Nothing is read ahead, so a consumer that stops
+// early (TOP n) is charged, and allocates, only for what it took. The
+// caller holds d.mu until the source is dropped.
+type accessSource struct {
+	meter *executor.Meter
+	heap  *storage.Cursor // a heap scan; every other access iterates it
+	it    *btree.Iterator
+	// firstPages is charged on the first pull, then zeroed: one page for
+	// a sequential scan, the tree height for a seek, none for a covering
+	// scan.
+	firstPages, perRowPage float64
+	// prefix is the equality prefix of a seek: it ends at the first entry
+	// that does not match. stop, when set, ends it at the first entry past
+	// the upper bound.
+	prefix value.Key
+	stop   func(k value.Key) bool
+	// strict tests the bounds the tree seek widened to inclusive; residual
+	// the node's other predicates. Either may be nil.
+	strict, residual func(value.Row) bool
+	// entries turns a secondary-index entry into a row; nil when the
+	// stored row is the table's own.
+	entries *entryReader
 }
 
-func (s *seqScanSource) Next() (value.Row, bool) {
-	if !s.charged {
-		s.meter.ChargePages(1)
-		s.charged = true
+// entryReader reads secondary-index entries: a covering entry (scratch
+// set) as its key columns then its payload, a lookup entry as the base row
+// its locator names, charging the random page accesses that make
+// lookup-heavy seeks lose to scans when cardinality was underestimated.
+type entryReader struct {
+	d       *Database
+	t       *tableData
+	nk      int // covering: the key columns rendered before the payload
+	locAt   int // lookup: where the locator starts in the payload
+	scratch value.Row
+}
+
+// Next implements executor.Source.
+func (s *accessSource) Next() (value.Row, bool) {
+	if s.firstPages != 0 {
+		s.meter.ChargePages(s.firstPages)
+		s.firstPages = 0
 	}
-	var row value.Row
+	for {
+		row, rid, ok := s.read()
+		if !ok {
+			return nil, false
+		}
+		if row == nil || !s.pass(s.strict, row) || !s.pass(s.residual, row) {
+			continue
+		}
+		switch {
+		case s.heap != nil:
+			return withRID(row, rid), true
+		case s.entries == nil:
+			return row, true
+		case s.entries.scratch != nil:
+			return row.Clone(), true
+		case s.entries.t.heap != nil:
+			return withRID(row, rid), true
+		default:
+			return row, true
+		}
+	}
+}
+
+// read returns the next stored row and, for a heap row, its RID; ok is
+// false at the end of the access. A lookup whose locator finds no row
+// yields a nil row.
+func (s *accessSource) read() (row value.Row, rid storage.RID, ok bool) {
 	if s.heap != nil {
-		rid, r, ok := s.heap.Next()
-		if !ok {
-			return nil, false
+		if rid, row, ok = s.heap.Next(); ok {
+			s.meter.ChargePages(s.perRowPage)
+			s.meter.ChargeRows(1)
 		}
-		row = withRID(r, rid)
-	} else {
-		e, ok := s.clustered.Next()
-		if !ok {
-			return nil, false
-		}
-		row = e.Payload
+		return row, rid, ok
+	}
+	e, ok := s.it.Next()
+	if !ok {
+		return nil, 0, false
 	}
 	s.meter.ChargePages(s.perRowPage)
 	s.meter.ChargeRows(1)
-	return row, true
+	if len(e.Key) < len(s.prefix) {
+		return nil, 0, false
+	}
+	for i, pv := range s.prefix {
+		if value.Compare(e.Key[i], pv) != 0 {
+			return nil, 0, false
+		}
+	}
+	if s.stop != nil && !s.stop(e.Key) {
+		return nil, 0, false
+	}
+	if s.entries == nil {
+		return e.Payload, 0, true
+	}
+	row, rid = s.entries.read(e, s.meter)
+	return row, rid, true
+}
+
+// pass charges one row for the test and runs it; a nil test is neither
+// charged nor run.
+func (s *accessSource) pass(test func(value.Row) bool, row value.Row) bool {
+	if test == nil {
+		return true
+	}
+	s.meter.ChargeRows(1)
+	return test(row)
+}
+
+// read returns the row entry e stands for and, for a heap row, its RID;
+// the row is nil when a lookup's locator finds none.
+func (r *entryReader) read(e btree.Entry, meter *executor.Meter) (value.Row, storage.RID) {
+	if r.scratch != nil {
+		r.scratch = append(append(r.scratch[:0], e.Key[:r.nk]...), e.Payload...)
+		return r.scratch, 0
+	}
+	loc := value.Key(e.Payload[r.locAt:])
+	t := r.t
+	if t.clustered != nil {
+		meter.ChargePages(float64(t.clustered.Height()) * optimizer.RandomPageFactor)
+		r.d.usage.RecordLookup(optimizer.ClusteredIndexName(t.def.Name), t.def.Name, r.d.clock.Now())
+		row, _ := t.clustered.Get(loc)
+		return row, 0
+	}
+	meter.ChargePages(1 * optimizer.RandomPageFactor)
+	rid := storage.RID(loc[0].I)
+	row, _ := t.heap.Get(rid)
+	return row, rid
 }
 
 // withRID returns a heap row in tableLayout shape: the base columns and
@@ -391,126 +508,82 @@ func withRID(base value.Row, rid storage.RID) value.Row {
 }
 
 // compileAccess builds the source for a base access node. It returns the
-// rows with the node's output layout.
+// rows with the node's output layout. The predicates compile against
+// that layout, and test the row as stored: a heap row lacks only the
+// trailing RID column, which the optimizer lets no predicate name.
 func (d *Database) compileAccess(n *optimizer.Node, meter *executor.Meter) (executor.Source, *layout, error) {
 	t, ok := d.tables[strings.ToLower(n.Table)]
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: unknown table %q", n.Table)
 	}
-	switch n.Kind {
-	case optimizer.KindSeqScan:
-		return d.compileSeqScan(n, t, meter)
-	case optimizer.KindIndexScan, optimizer.KindIndexSeek:
-		return d.compileIndexAccess(n, t, meter)
-	default:
-		return nil, nil, fmt.Errorf("engine: %v is not an access node", n.Kind)
-	}
-}
-
-func (d *Database) compileSeqScan(n *optimizer.Node, t *tableData, meter *executor.Meter) (executor.Source, *layout, error) {
-	lay := d.tableLayout(t, n.Alias)
-	scan := &seqScanSource{meter: meter, perRowPage: 1.0 / float64(storage.RowsPerPage(t.def.RowWidth()))}
-	if t.heap != nil {
-		scan.heap = t.heap.Cursor()
-	} else {
-		scan.clustered = t.clustered.Seek(nil, true, nil, true)
-		d.usage.RecordScan(optimizer.ClusteredIndexName(t.def.Name), t.def.Name, d.clock.Now())
-	}
-	var src executor.Source = scan
-	if len(n.Residual) > 0 {
-		pred, err := compilePreds(n.Residual, lay)
-		if err != nil {
-			return nil, nil, err
+	src := &accessSource{meter: meter}
+	var lay *layout
+	clusteredName := optimizer.ClusteredIndexName(t.def.Name)
+	switch {
+	case n.Kind == optimizer.KindSeqScan:
+		lay = d.tableLayout(t, n.Alias)
+		src.firstPages = 1
+		src.perRowPage = 1.0 / float64(storage.RowsPerPage(t.def.RowWidth()))
+		if t.heap != nil {
+			src.heap = t.heap.Cursor()
+		} else {
+			src.it = t.clustered.Seek(nil, true, nil, true)
+			d.usage.RecordScan(clusteredName, t.def.Name, d.clock.Now())
 		}
-		src = &executor.Filter{Child: src, Pred: pred, Meter: meter}
+	case strings.EqualFold(n.Index, clusteredName):
+		// The clustered index appears in seek plans under its synthetic
+		// name.
+		if t.clustered == nil {
+			return nil, nil, fmt.Errorf("engine: table %q is a heap, no clustered index", t.def.Name)
+		}
+		lay = d.tableLayout(t, n.Alias)
+		src.bound(n, t.clustered)
+		d.recordIndexUse(n, clusteredName, t.def.Name)
+	default:
+		ix, ok := d.indexes[strings.ToLower(n.Index)]
+		if !ok {
+			return nil, nil, fmt.Errorf("engine: unknown index %q", n.Index)
+		}
+		src.bound(n, ix.tree)
+		d.recordIndexUse(n, ix.def.Name, t.def.Name)
+		if n.Lookup {
+			lay = d.tableLayout(t, n.Alias)
+			src.entries = &entryReader{d: d, t: t, locAt: len(ix.inclOrds)}
+			break
+		}
+		lay = coveringLayout(t, ix, n.Alias)
+		src.entries = &entryReader{nk: len(ix.def.KeyColumns), scratch: make(value.Row, 0, len(lay.cols))}
+	}
+	var strict []sqlparser.Predicate
+	for _, p := range n.SeekRange {
+		if p.Op == sqlparser.OpGT || p.Op == sqlparser.OpLT {
+			strict = append(strict, p)
+		}
+	}
+	var err error
+	if src.strict, err = compilePreds(strict, lay); err != nil {
+		return nil, nil, err
+	}
+	if src.residual, err = compilePreds(n.Residual, lay); err != nil {
+		return nil, nil, err
 	}
 	return src, lay, nil
 }
 
-// indexEntrySource iterates a B+ tree range, charging height once and leaf
-// pages incrementally.
-type indexEntrySource struct {
-	it         *btree.Iterator
-	meter      *executor.Meter
-	perRowPage float64
-	height     float64
-	charged    bool
-	// prefix is the equality prefix entries must match; scanning stops at
-	// the first mismatch.
-	prefix value.Key
-	// stop, when non-nil, aborts the scan when an entry fails it.
-	stop func(k value.Key) bool
-}
-
-func (s *indexEntrySource) Next() (btree.Entry, bool) {
-	if !s.charged {
-		s.meter.ChargePages(s.height)
-		s.charged = true
-	}
-	for {
-		e, ok := s.it.Next()
-		if !ok {
-			return btree.Entry{}, false
-		}
-		s.meter.ChargePages(s.perRowPage)
-		s.meter.ChargeRows(1)
-		if len(s.prefix) > 0 {
-			if len(e.Key) < len(s.prefix) {
-				return btree.Entry{}, false
-			}
-			for i, pv := range s.prefix {
-				if value.Compare(e.Key[i], pv) != 0 {
-					return btree.Entry{}, false
-				}
-			}
-		}
-		if s.stop != nil && !s.stop(e.Key) {
-			return btree.Entry{}, false
-		}
-		return e, true
-	}
-}
-
-func (d *Database) compileIndexAccess(n *optimizer.Node, t *tableData, meter *executor.Meter) (executor.Source, *layout, error) {
-	// The clustered index appears in NL-join inner plans under its
-	// synthetic name.
-	if strings.EqualFold(n.Index, optimizer.ClusteredIndexName(t.def.Name)) {
-		return d.compileClusteredSeek(n, t, meter)
-	}
-	ix, ok := d.indexes[strings.ToLower(n.Index)]
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: unknown index %q", n.Index)
-	}
-	entries := treeEntrySource(n, ix.tree, meter)
-	now := d.clock.Now()
+// recordIndexUse counts a scan or seek of an index in the usage DMV.
+func (d *Database) recordIndexUse(n *optimizer.Node, index, table string) {
 	if n.Kind == optimizer.KindIndexScan {
-		d.usage.RecordScan(ix.def.Name, t.def.Name, now)
+		d.usage.RecordScan(index, table, d.clock.Now())
 	} else {
-		d.usage.RecordSeek(ix.def.Name, t.def.Name, now)
+		d.usage.RecordSeek(index, table, d.clock.Now())
 	}
+}
 
-	if n.Lookup {
-		// Fetch the base row through the locator.
-		lay := d.tableLayout(t, n.Alias)
-		var out executor.Source = &lookupSource{d: d, t: t, ix: ix, entries: entries, meter: meter}
-		out, err := strictRangeFilter(n, lay, out, meter)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(n.Residual) > 0 {
-			pred, err := compilePreds(n.Residual, lay)
-			if err != nil {
-				return nil, nil, err
-			}
-			out = &executor.Filter{Child: out, Pred: pred, Meter: meter}
-		}
-		return out, lay, nil
-	}
-
-	// Covering: output key + included columns + the locator (the clustered
-	// key or heap RID every leaf entry carries).
+// coveringLayout is a covering entry's row shape: the index key columns,
+// the included columns, then the locator.
+func coveringLayout(t *tableData, ix *indexData, alias string) *layout {
 	lay := &layout{}
-	a := strings.ToLower(n.Alias)
+	a := strings.ToLower(alias)
 	for _, c := range ix.def.KeyColumns {
 		lay.cols = append(lay.cols, layoutCol{alias: a, name: strings.ToLower(c)})
 	}
@@ -524,51 +597,30 @@ func (d *Database) compileIndexAccess(n *optimizer.Node, t *tableData, meter *ex
 	} else {
 		lay.cols = append(lay.cols, layoutCol{alias: a, name: ridColName})
 	}
-	nk := len(ix.def.KeyColumns)
-	var out executor.Source = &entryRowSource{entries: entries, render: func(e btree.Entry) value.Row {
-		row := make(value.Row, 0, nk+len(e.Payload))
-		row = append(row, e.Key[:nk]...)
-		row = append(row, e.Payload...) // includes + locator
-		return row
-	}}
-	out, err := strictRangeFilter(n, lay, out, meter)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(n.Residual) > 0 {
-		pred, err := compilePreds(n.Residual, lay)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = &executor.Filter{Child: out, Pred: pred, Meter: meter}
-	}
-	return out, lay, nil
+	return lay
 }
 
-// treeEntrySource builds the bounded range iterator for a seek/scan node
-// over any B+ tree (secondary index or clustered index). Strict (< / >)
-// bounds are widened to inclusive at the tree level — entries equal to a
-// strict bound are removed by strictRangeFilter afterwards, matching how a
-// storage engine seeks to the boundary and filters.
-func treeEntrySource(n *optimizer.Node, tree *btree.Tree, meter *executor.Meter) *indexEntrySource {
-	leaves := float64(tree.LeafCount())
-	entries := float64(tree.Len())
-	perRow := 0.0
-	if entries > 0 {
-		perRow = leaves / entries
+// bound positions the source on the range a seek or scan node reads from
+// any B+ tree (secondary or clustered index). Strict (< / >) bounds are
+// widened to inclusive at the tree level — the strict test removes the
+// entries equal to them afterwards, matching how a storage engine seeks
+// to the boundary and filters.
+func (s *accessSource) bound(n *optimizer.Node, tree *btree.Tree) {
+	if entries := float64(tree.Len()); entries > 0 {
+		s.perRowPage = float64(tree.LeafCount()) / entries
 	}
-	src := &indexEntrySource{meter: meter, perRowPage: perRow, height: float64(tree.Height())}
 	if n.Kind == optimizer.KindIndexScan {
-		src.it = tree.Seek(nil, true, nil, true)
-		src.height = 0 // full scan pays leaf pages, not a root-to-leaf probe
-		return src
+		// A full scan pays leaf pages, not a root-to-leaf probe.
+		s.it = tree.Seek(nil, true, nil, true)
+		return
 	}
+	s.firstPages = float64(tree.Height())
 	// Seek: equality prefix + optional range bounds on the next column.
 	prefix := make(value.Key, 0, len(n.SeekEq))
 	for _, p := range n.SeekEq {
 		prefix = append(prefix, p.Val)
 	}
-	src.prefix = prefix
+	s.prefix = prefix
 	lo := append(value.Key{}, prefix...)
 	rangeIdx := len(prefix)
 	var hiVal *value.Value
@@ -589,7 +641,7 @@ func treeEntrySource(n *optimizer.Node, tree *btree.Tree, meter *executor.Meter)
 	if hiVal != nil {
 		hv := *hiVal
 		incl := hiIncl
-		src.stop = func(k value.Key) bool {
+		s.stop = func(k value.Key) bool {
 			if len(k) <= rangeIdx {
 				return true
 			}
@@ -601,114 +653,7 @@ func treeEntrySource(n *optimizer.Node, tree *btree.Tree, meter *executor.Meter)
 	if len(lo) > 0 {
 		seekLo = lo
 	}
-	src.it = tree.Seek(seekLo, true, nil, true)
-	return src
-}
-
-// strictRangeFilter removes rows equal to a strict lower bound that the
-// tree seek could not exclude.
-func strictRangeFilter(n *optimizer.Node, lay *layout, src executor.Source, meter *executor.Meter) (executor.Source, error) {
-	var strict []sqlparser.Predicate
-	for _, p := range n.SeekRange {
-		if p.Op == sqlparser.OpGT || p.Op == sqlparser.OpLT {
-			strict = append(strict, p)
-		}
-	}
-	if len(strict) == 0 {
-		return src, nil
-	}
-	pred, err := compilePreds(strict, lay)
-	if err != nil {
-		return nil, err
-	}
-	return &executor.Filter{Child: src, Pred: pred, Meter: meter}, nil
-}
-
-// entryRowSource adapts index entries to rows.
-type entryRowSource struct {
-	entries *indexEntrySource
-	render  func(btree.Entry) value.Row
-}
-
-func (s *entryRowSource) Next() (value.Row, bool) {
-	e, ok := s.entries.Next()
-	if !ok {
-		return nil, false
-	}
-	return s.render(e), true
-}
-
-// lookupSource fetches base rows for non-covering index entries, charging
-// random page accesses — the cost that makes lookup-heavy seeks lose to
-// scans when cardinality was underestimated.
-type lookupSource struct {
-	d       *Database
-	t       *tableData
-	ix      *indexData
-	entries *indexEntrySource
-	meter   *executor.Meter
-}
-
-func (s *lookupSource) Next() (value.Row, bool) {
-	for {
-		e, ok := s.entries.Next()
-		if !ok {
-			return nil, false
-		}
-		loc := e.Payload[len(s.ix.inclOrds):]
-		row, found := s.d.fetchByLocator(s.t, value.Key(loc), s.meter)
-		if !found {
-			continue
-		}
-		return row, true
-	}
-}
-
-// fetchByLocator returns the base row (in tableLayout shape) for a locator.
-func (d *Database) fetchByLocator(t *tableData, loc value.Key, meter *executor.Meter) (value.Row, bool) {
-	if t.clustered != nil {
-		meter.ChargePages(float64(t.clustered.Height()) * optimizer.RandomPageFactor)
-		d.usage.RecordLookup(optimizer.ClusteredIndexName(t.def.Name), t.def.Name, d.clock.Now())
-		row, ok := t.clustered.Get(loc)
-		return row, ok
-	}
-	meter.ChargePages(1 * optimizer.RandomPageFactor)
-	rid := storage.RID(loc[0].I)
-	base, ok := t.heap.Get(rid)
-	if !ok {
-		return nil, false
-	}
-	return withRID(base, rid), true
-}
-
-// compileClusteredSeek seeks the clustered index by a primary-key prefix.
-func (d *Database) compileClusteredSeek(n *optimizer.Node, t *tableData, meter *executor.Meter) (executor.Source, *layout, error) {
-	if t.clustered == nil {
-		return nil, nil, fmt.Errorf("engine: table %q is a heap, no clustered index", t.def.Name)
-	}
-	entries := treeEntrySource(n, t.clustered, meter)
-	now := d.clock.Now()
-	if n.Kind == optimizer.KindIndexScan {
-		d.usage.RecordScan(optimizer.ClusteredIndexName(t.def.Name), t.def.Name, now)
-	} else {
-		d.usage.RecordSeek(optimizer.ClusteredIndexName(t.def.Name), t.def.Name, now)
-	}
-	lay := d.tableLayout(t, n.Alias)
-	var out executor.Source = &entryRowSource{entries: entries, render: func(e btree.Entry) value.Row {
-		return e.Payload
-	}}
-	out, err := strictRangeFilter(n, lay, out, meter)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(n.Residual) > 0 {
-		pred, err := compilePreds(n.Residual, lay)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = &executor.Filter{Child: out, Pred: pred, Meter: meter}
-	}
-	return out, lay, nil
+	s.it = tree.Seek(seekLo, true, nil, true)
 }
 
 // Explain plans a statement without executing it and renders the plan with

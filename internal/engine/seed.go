@@ -174,7 +174,7 @@ func (d *Database) SeedIndex(def schema.IndexDef, createdAt time.Time) error {
 		ix.inclOrds = append(ix.inclOrds, t.def.ColumnIndex(c))
 	}
 	insert := func(row value.Row, loc value.Key) {
-		k, p := ix.entryFor(t, row, loc)
+		k, p := ix.entryFor(row, loc)
 		ix.tree.Insert(k, p)
 	}
 	if t.clustered != nil {

@@ -1,10 +1,11 @@
 // Package executor implements the physical operators that execute plans:
-// filter, project, sort, top, hash aggregation, hash join and nested-loops
-// join over pull-based row streams. Operators charge *actual* CPU work to a
-// Meter using the same cost units the optimizer estimates in; the engine's
-// access paths charge actual page reads. The spread between the
-// optimizer's estimate and the meter's measurement is the raw material of
-// the paper's validation problem.
+// project, sort, top, hash aggregation, hash join and nested-loops join
+// over pull-based row streams. Predicates are not an operator: the
+// engine's access source tests each stored row before it builds one.
+// Operators charge *actual* CPU work to a Meter using the same cost units
+// the optimizer estimates in; the engine's access paths charge actual
+// page reads. The spread between the optimizer's estimate and the meter's
+// measurement is the raw material of the paper's validation problem.
 package executor
 
 import (
@@ -73,27 +74,6 @@ func Drain(s Source) []value.Row {
 			return out
 		}
 		out = append(out, r)
-	}
-}
-
-// Filter yields child rows satisfying pred, charging CPU per input row.
-type Filter struct {
-	Child Source
-	Pred  func(value.Row) bool
-	Meter *Meter
-}
-
-// Next implements Source.
-func (f *Filter) Next() (value.Row, bool) {
-	for {
-		r, ok := f.Child.Next()
-		if !ok {
-			return nil, false
-		}
-		f.Meter.ChargeRows(1)
-		if f.Pred(r) {
-			return r, true
-		}
 	}
 }
 
@@ -196,19 +176,28 @@ type AggSpec struct {
 	Col  int
 }
 
-type aggState struct {
-	key     value.Key
-	count   int64
-	countC  []int64
-	sums    []float64
-	mins    []value.Value
-	maxs    []value.Value
-	hasMinM []bool
+// aggCell is one spec's running state within a group; n counts the
+// non-NULL inputs it has seen.
+type aggCell struct {
+	n        int64
+	sum      float64
+	min, max value.Value
+}
+
+// aggGroup is one group: its key, COUNT(*), one cell per spec, and the
+// next group in its hash chain (-1 ends it).
+type aggGroup struct {
+	key   value.Key
+	count int64
+	cells []aggCell
+	next  int
 }
 
 // HashAgg groups child rows by GroupCols and computes Specs per group.
 // When GroupCols is empty it produces a single scalar-aggregate row (even
-// for empty input, matching SQL semantics).
+// for empty input, matching SQL semantics). Each input row's key is built
+// in one reused buffer and copied only when it opens a group, so the
+// aggregation allocates per group, not per row.
 type HashAgg struct {
 	Child     Source
 	GroupCols []int
@@ -216,7 +205,7 @@ type HashAgg struct {
 	Meter     *Meter
 
 	done   bool
-	groups []*aggState
+	groups []aggGroup // in the order they were opened
 	i      int
 }
 
@@ -229,14 +218,14 @@ func (h *HashAgg) Next() (value.Row, bool) {
 	if h.i >= len(h.groups) {
 		return nil, false
 	}
-	g := h.groups[h.i]
+	g := &h.groups[h.i]
 	h.i++
 	return h.render(g), true
 }
 
 func (h *HashAgg) build() {
-	index := make(map[uint64][]*aggState)
-	order := []*aggState{}
+	heads := make(map[uint64]int) // hash -> first group of its chain
+	key := make(value.Key, len(h.GroupCols))
 	for {
 		r, ok := h.Child.Next()
 		if !ok {
@@ -244,31 +233,24 @@ func (h *HashAgg) build() {
 		}
 		h.Meter.ChargeRows(1)
 		h.Meter.ChargeCPU(optimizer.HashBuildPerRow)
-		key := make(value.Key, len(h.GroupCols))
 		for i, c := range h.GroupCols {
 			key[i] = r[c]
 		}
 		hash := value.HashKey(key)
-		var st *aggState
-		for _, cand := range index[hash] {
-			if value.KeyEqual(cand.key, key) {
-				st = cand
-				break
-			}
+		head, ok := heads[hash]
+		if !ok {
+			head = -1
 		}
-		if st == nil {
-			st = &aggState{
-				key:     key,
-				countC:  make([]int64, len(h.Specs)),
-				sums:    make([]float64, len(h.Specs)),
-				mins:    make([]value.Value, len(h.Specs)),
-				maxs:    make([]value.Value, len(h.Specs)),
-				hasMinM: make([]bool, len(h.Specs)),
-			}
-			index[hash] = append(index[hash], st)
-			order = append(order, st)
+		gi := head
+		for gi >= 0 && !value.KeyEqual(h.groups[gi].key, key) {
+			gi = h.groups[gi].next
 		}
-		st.count++
+		if gi < 0 {
+			gi = h.open(append(value.Key(nil), key...), head)
+			heads[hash] = gi
+		}
+		g := &h.groups[gi]
+		g.count++
 		for i, spec := range h.Specs {
 			switch spec.Kind {
 			case AggCountCol, AggSum, AggAvg, AggMin, AggMax:
@@ -276,68 +258,54 @@ func (h *HashAgg) build() {
 				if v.IsNull() {
 					continue
 				}
-				st.countC[i]++
+				c := &g.cells[i]
 				if f, ok := v.AsFloat(); ok {
-					st.sums[i] += f
+					c.sum += f
 				}
-				if !st.hasMinM[i] || value.Compare(v, st.mins[i]) < 0 {
-					st.mins[i] = v
+				if c.n == 0 || value.Compare(v, c.min) < 0 {
+					c.min = v
 				}
-				if !st.hasMinM[i] || value.Compare(v, st.maxs[i]) > 0 {
-					st.maxs[i] = v
+				if c.n == 0 || value.Compare(v, c.max) > 0 {
+					c.max = v
 				}
-				st.hasMinM[i] = true
+				c.n++
 			}
 		}
 	}
-	if len(h.GroupCols) == 0 && len(order) == 0 {
+	if len(h.GroupCols) == 0 && len(h.groups) == 0 {
 		// Scalar aggregate over empty input still yields one row.
-		order = append(order, &aggState{
-			countC:  make([]int64, len(h.Specs)),
-			sums:    make([]float64, len(h.Specs)),
-			mins:    make([]value.Value, len(h.Specs)),
-			maxs:    make([]value.Value, len(h.Specs)),
-			hasMinM: make([]bool, len(h.Specs)),
-		})
+		h.open(nil, -1)
 	}
-	h.groups = order
 }
 
-func (h *HashAgg) render(g *aggState) value.Row {
+// open appends an empty group chained before next and returns its index.
+func (h *HashAgg) open(key value.Key, next int) int {
+	h.groups = append(h.groups, aggGroup{key: key, cells: make([]aggCell, len(h.Specs)), next: next})
+	return len(h.groups) - 1
+}
+
+func (h *HashAgg) render(g *aggGroup) value.Row {
 	out := make(value.Row, len(h.Specs))
 	for i, spec := range h.Specs {
-		switch spec.Kind {
-		case AggKey:
+		c := g.cells[i]
+		switch {
+		case spec.Kind == AggKey:
 			// Col indexes into the group key for AggKey specs.
 			out[i] = g.key[spec.Col]
-		case AggCountStar:
+		case spec.Kind == AggCountStar:
 			out[i] = value.NewInt(g.count)
-		case AggCountCol:
-			out[i] = value.NewInt(g.countC[i])
-		case AggSum:
-			if g.countC[i] == 0 {
-				out[i] = value.NewNull()
-			} else {
-				out[i] = value.NewFloat(g.sums[i])
-			}
-		case AggAvg:
-			if g.countC[i] == 0 {
-				out[i] = value.NewNull()
-			} else {
-				out[i] = value.NewFloat(g.sums[i] / float64(g.countC[i]))
-			}
-		case AggMin:
-			if !g.hasMinM[i] {
-				out[i] = value.NewNull()
-			} else {
-				out[i] = g.mins[i]
-			}
-		case AggMax:
-			if !g.hasMinM[i] {
-				out[i] = value.NewNull()
-			} else {
-				out[i] = g.maxs[i]
-			}
+		case spec.Kind == AggCountCol:
+			out[i] = value.NewInt(c.n)
+		case c.n == 0:
+			out[i] = value.NewNull()
+		case spec.Kind == AggSum:
+			out[i] = value.NewFloat(c.sum)
+		case spec.Kind == AggAvg:
+			out[i] = value.NewFloat(c.sum / float64(c.n))
+		case spec.Kind == AggMin:
+			out[i] = c.min
+		case spec.Kind == AggMax:
+			out[i] = c.max
 		}
 	}
 	return out

@@ -24,25 +24,6 @@ func drainInts(s Source) []int64 {
 	return out
 }
 
-func TestFilterChargesAndFilters(t *testing.T) {
-	m := &Meter{}
-	f := &Filter{
-		Child: &SliceSource{Rows: rows(1, 2, 3, 4, 5, 6)},
-		Pred:  func(r value.Row) bool { return r[0].I%2 == 0 },
-		Meter: m,
-	}
-	got := drainInts(f)
-	if len(got) != 3 || got[0] != 2 {
-		t.Fatalf("filtered: %v", got)
-	}
-	if m.RowsProcessed != 6 {
-		t.Fatalf("rows processed = %d, want all inputs charged", m.RowsProcessed)
-	}
-	if m.CPUUnits <= 0 || m.TotalCost() <= 0 {
-		t.Fatal("no CPU charged")
-	}
-}
-
 func TestProject(t *testing.T) {
 	m := &Meter{}
 	p := &Project{

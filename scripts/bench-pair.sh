@@ -8,12 +8,18 @@
 # and each pair shares one fresh -seed - then print, per end-to-end metric,
 # each side's median and quartiles, the pairs the change won, and every
 # exact count or digest on which the two sides of a pair disagree.
+# Quartiles are the exclusive ones of Python's statistics.quantiles(n=4),
+# interpolated at (n+1)q, which is how a gain is judged; each metric ends
+# with a CLAIM-TEST line that passes when the change won at least nine
+# tenths of the pairs and the medians differ, in the better direction, by
+# more than the parent's q3 - q1.
 #
 # WORKLOAD is a bench workload name or "all". SEED=<n> fixes the first
 # pair's seed (pair i uses SEED+i-1); by default it is taken from the
-# clock, so the seeds are ones nobody tuned against. The parent is a
-# `git archive` export in a temporary directory, removed on exit; every
-# run's full output is kept in .bench-pair/ (git-ignored).
+# clock, so the seeds are ones nobody tuned against. TRACE=1 runs the
+# traced pass (-trace 1) instead and reports the per_layer metrics. The
+# parent is a `git archive` export in a temporary directory, removed on
+# exit; every run's full output is kept in .bench-pair/ (git-ignored).
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -24,6 +30,9 @@ parent=$1
 workload=$2
 pairs=${3:-10}
 seed=${SEED:-$(date +%s)}
+trace=${TRACE:-0}
+section=end_to_end
+[ "$trace" = 1 ] && section=per_layer
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
@@ -40,7 +49,7 @@ git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
 run() {
 	dir=$root
 	[ "$1" = parent ] && dir=$tmp/parent
-	if ! (cd "$dir" && "$tmp/bench-$1" -workload "$workload" -seed "$3" -out "$tmp/out-$1") \
+	if ! (cd "$dir" && "$tmp/bench-$1" -workload "$workload" -seed "$3" -trace "$trace" -out "$tmp/out-$1") \
 		>"$keep/$1-$2.txt" 2>"$keep/$1-$2.err"; then
 		echo "bench-pair: the $1 run of pair $2 failed; see $keep/$1-$2.txt and .err" >&2
 		exit 1
@@ -57,22 +66,24 @@ while [ "$i" -le "$pairs" ]; do
 	i=$((i + 1))
 done
 
-awk -v pairs="$pairs" -v keep="$keep" '
+awk -v pairs="$pairs" -v keep="$keep" -v section="$section" '
 function sorted(side, key, out,    n, i, j, v) {
 	n = 0
 	for (i = 1; i <= pairs; i++) if ((side, i, key) in val) out[++n] = val[side, i, key]
 	for (i = 2; i <= n; i++) { v = out[i]; for (j = i - 1; j >= 1 && out[j] > v; j--) out[j + 1] = out[j]; out[j + 1] = v }
 	return n
 }
-# quantile of a sorted array by linear interpolation.
+# quantile of a sorted array as statistics.quantiles(method="exclusive")
+# interpolates it: at position (n+1)q, the lower index clamped to 1..n-1.
 function quantile(a, n, q,    pos, lo) {
-	pos = 1 + (n - 1) * q; lo = int(pos)
-	if (lo >= n) return a[n]
+	if (n < 2) return a[1]
+	pos = (n + 1) * q; lo = int(pos)
+	if (lo < 1) lo = 1
+	if (lo > n - 1) lo = n - 1
 	return a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
 }
 FILENAME ~ /BENCHMARK.json$/ {
-	if ($0 ~ /"end_to_end"/) on = 1
-	if ($0 ~ /"per_layer"/) on = 0
+	if ($0 ~ /"(end_to_end|per_layer)"/) on = ($0 ~ "\"" section "\"")
 	if (on && $0 ~ /"name"/) { gsub(/[",]/, ""); name = $2; order[++metrics] = name }
 	if (on && $0 ~ /"better"/) { gsub(/[",]/, ""); better[name] = $2 }
 	next
@@ -98,10 +109,16 @@ END {
 				if (d > 0) won++; else if (d < 0) lost++; else tied++
 			}
 			pm = quantile(p, np, 0.5); cm = quantile(c, nc, 0.5)
+			pq1 = quantile(p, np, 0.25); pq3 = quantile(p, np, 0.75)
+			gain = cm - pm
+			if (better[name] == "lower") gain = -gain
+			need = int((9 * pairs + 9) / 10)
 			printf "%s %s (%s, %s is better)\n", w, name, unit[name], better[name]
-			printf "  parent median %.6g  q1 %.6g  q3 %.6g\n", pm, quantile(p, np, 0.25), quantile(p, np, 0.75)
+			printf "  parent median %.6g  q1 %.6g  q3 %.6g\n", pm, pq1, pq3
 			printf "  change median %.6g  q1 %.6g  q3 %.6g\n", cm, quantile(c, nc, 0.25), quantile(c, nc, 0.75)
 			printf "  change/parent %.3f of base %.6g; change won %d, lost %d, tied %d of %d pairs\n", (pm ? cm / pm : 0), pm, won, lost, tied, pairs
+			printf "  CLAIM-TEST %s: won %d of %d pairs (needs %d); median gain %.6g vs parent q3-q1 %.6g\n", \
+				(won >= need && gain > pq3 - pq1 ? "pass" : "fail"), won, pairs, need, gain, pq3 - pq1
 		}
 	}
 	differing = 0
