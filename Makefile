@@ -96,7 +96,8 @@ bench-gate:
 # The paired comparison a performance claim is judged by: PARENT's and the
 # working tree's ./bench built once each and run alternately, a fresh seed
 # per pair; prints medians, exclusive quartiles, pairs won, a CLAIM-TEST
-# verdict per metric and any exact count or digest that differs
+# verdict per metric, a BOUND-TEST ("no worse") verdict per end-to-end
+# metric and any exact count or digest that differs
 # (scripts/bench-pair.sh, EXPERIMENTS.md "Paired runs"). TRACE=1 pairs the
 # traced runs and reports the per-layer metrics instead.
 #   make bench-pair PARENT=HEAD~1 WORKLOAD=serve_mixed [PAIRS=10] [SEED=n] [TRACE=1]
@@ -153,7 +154,7 @@ loc:
 # The ratchet on that number: fails when `make loc` exceeds LOC_MAX, the
 # last design PR's result. Lowering it is part of every design PR;
 # raising it needs a sentence in CHANGES.md saying what the lines buy.
-LOC_MAX = 29847
+LOC_MAX = 29868
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_MAX) ]; then \

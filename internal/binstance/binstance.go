@@ -100,7 +100,7 @@ func (b *BInstance) Flush() {
 func (b *BInstance) replayOne() {
 	sql := b.pending[0]
 	b.pending = b.pending[1:]
-	if _, err := b.DB.Exec(sql); err != nil {
+	if _, err := b.DB.ExecWith(sql, engine.ExecOptions{DiscardRows: true}); err != nil {
 		// Best-effort: replay errors (e.g., duplicate key from a replayed
 		// insert racing a reorder) are divergence, not failures.
 		b.dropped++

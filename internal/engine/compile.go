@@ -11,34 +11,62 @@ import (
 )
 
 // compile turns a plan subtree into an executable source with its output
-// layout.
-func (d *Database) compile(n *optimizer.Node, meter *executor.Meter) (executor.Source, *layout, error) {
+// layout. keep says whether the consumer keeps the rows it is handed, as
+// Sort, a hash join's build side and a collecting caller do. A source
+// whose consumer does not keep may hand out a row it reuses (see the
+// executor package doc); for one that keeps, such a source's rows are
+// copied through keptRows.
+func (d *Database) compile(n *optimizer.Node, meter *executor.Meter, keep bool) (executor.Source, *layout, error) {
 	switch n.Kind {
 	case optimizer.KindSeqScan, optimizer.KindIndexScan, optimizer.KindIndexSeek:
-		return d.compileAccess(n, meter)
-	case optimizer.KindNLJoin:
-		return d.compileNLJoin(n, meter)
-	case optimizer.KindHashJoin:
-		return d.compileHashJoin(n, meter)
+		src, lay, err := d.compileAccess(n, meter)
+		if err != nil {
+			return nil, nil, err
+		}
+		if keep && src.entries != nil && src.entries.scratch != nil {
+			return keptRows{src}, lay, nil
+		}
+		return src, lay, nil
+	case optimizer.KindNLJoin, optimizer.KindHashJoin:
+		src, lay, err := d.compileJoin(n, meter)
+		if err == nil && keep {
+			src = keptRows{src}
+		}
+		return src, lay, err
 	case optimizer.KindHashAgg, optimizer.KindScalarAgg:
 		return d.compileAgg(n, meter)
 	case optimizer.KindSort:
 		return d.compileSort(n, meter)
 	case optimizer.KindTop:
-		src, lay, err := d.compile(n.Children[0], meter)
+		src, lay, err := d.compile(n.Children[0], meter, keep)
 		if err != nil {
 			return nil, nil, err
 		}
 		return &executor.Top{Child: src, N: n.TopN}, lay, nil
 	case optimizer.KindProject:
-		return d.compileProject(n, meter)
+		return d.compileProject(n, meter, keep)
 	default:
 		return nil, nil, fmt.Errorf("engine: cannot compile %v", n.Kind)
 	}
 }
 
-func (d *Database) compileNLJoin(n *optimizer.Node, meter *executor.Meter) (executor.Source, *layout, error) {
-	outerSrc, outerLay, err := d.compile(n.Children[0], meter)
+// keptRows copies each row of a source that reuses one row for all it
+// hands out (a covering access, a join), for a consumer that keeps them.
+type keptRows struct{ executor.Source }
+
+// Next implements executor.Source.
+func (k keptRows) Next() (value.Row, bool) {
+	r, ok := k.Source.Next()
+	if !ok {
+		return nil, false
+	}
+	return r.Clone(), true
+}
+
+// compileJoin builds a hash or nested-loops join. Neither keeps its probe
+// or outer rows; a hash join keeps its build rows.
+func (d *Database) compileJoin(n *optimizer.Node, meter *executor.Meter) (executor.Source, *layout, error) {
+	outerSrc, outerLay, err := d.compile(n.Children[0], meter, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -47,15 +75,27 @@ func (d *Database) compileNLJoin(n *optimizer.Node, meter *executor.Meter) (exec
 	if outerIdx < 0 {
 		return nil, nil, fmt.Errorf("engine: join column %s not in outer layout", n.JoinLeft)
 	}
+	if n.Kind == optimizer.KindHashJoin {
+		buildSrc, buildLay, err := d.compile(inner, meter, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		buildIdx := buildLay.find(n.JoinRight.Table, n.JoinRight.Column)
+		if buildIdx < 0 {
+			return nil, nil, fmt.Errorf("engine: join column %s not in build layout", n.JoinRight)
+		}
+		join := &executor.HashJoin{Probe: outerSrc, Build: buildSrc, ProbeCol: outerIdx, BuildCol: buildIdx, Meter: meter}
+		return join, concatLayouts(outerLay, buildLay), nil
+	}
 	// Determine the inner layout once with a probe compilation.
 	probeNode := innerSeekNode(inner, n.JoinRight, value.NewNull())
-	_, innerLay, err := d.compile(probeNode, &executor.Meter{})
+	_, innerLay, err := d.compile(probeNode, &executor.Meter{}, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	bind := func(key value.Value) executor.Source {
 		node := innerSeekNode(inner, n.JoinRight, key)
-		src, _, err := d.compile(node, meter)
+		src, _, err := d.compile(node, meter, false)
 		if err != nil {
 			return &executor.SliceSource{}
 		}
@@ -83,28 +123,6 @@ func innerSeekNode(inner *optimizer.Node, joinCol sqlparser.ColRef, key value.Va
 	}
 }
 
-func (d *Database) compileHashJoin(n *optimizer.Node, meter *executor.Meter) (executor.Source, *layout, error) {
-	probeSrc, probeLay, err := d.compile(n.Children[0], meter)
-	if err != nil {
-		return nil, nil, err
-	}
-	buildSrc, buildLay, err := d.compile(n.Children[1], meter)
-	if err != nil {
-		return nil, nil, err
-	}
-	probeIdx := probeLay.find(n.JoinLeft.Table, n.JoinLeft.Column)
-	buildIdx := buildLay.find(n.JoinRight.Table, n.JoinRight.Column)
-	if probeIdx < 0 || buildIdx < 0 {
-		return nil, nil, fmt.Errorf("engine: hash join columns %s/%s not found", n.JoinLeft, n.JoinRight)
-	}
-	join := &executor.HashJoin{
-		Probe: probeSrc, Build: buildSrc,
-		ProbeCol: probeIdx, BuildCol: buildIdx,
-		Meter: meter,
-	}
-	return join, concatLayouts(probeLay, buildLay), nil
-}
-
 func aggKind(f sqlparser.AggFunc) executor.AggKind {
 	switch f {
 	case sqlparser.AggCount:
@@ -125,7 +143,7 @@ func aggKind(f sqlparser.AggFunc) executor.AggKind {
 }
 
 func (d *Database) compileAgg(n *optimizer.Node, meter *executor.Meter) (executor.Source, *layout, error) {
-	src, childLay, err := d.compile(n.Children[0], meter)
+	src, childLay, err := d.compile(n.Children[0], meter, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,7 +157,6 @@ func (d *Database) compileAgg(n *optimizer.Node, meter *executor.Meter) (executo
 	}
 	outLay := &layout{}
 	var specs []executor.AggSpec
-	keyOrder := 0
 	for _, it := range n.Items {
 		if it.Star {
 			return nil, nil, fmt.Errorf("engine: SELECT * cannot be combined with aggregation")
@@ -163,7 +180,6 @@ func (d *Database) compileAgg(n *optimizer.Node, meter *executor.Meter) (executo
 			}
 			specs = append(specs, executor.AggSpec{Kind: executor.AggKey, Col: pos})
 			outLay.cols = append(outLay.cols, layoutCol{alias: strings.ToLower(it.Col.Table), name: strings.ToLower(it.Col.Column)})
-			keyOrder++
 			continue
 		}
 		colIdx := 0
@@ -180,12 +196,8 @@ func (d *Database) compileAgg(n *optimizer.Node, meter *executor.Meter) (executo
 	return agg, outLay, nil
 }
 
-// keyedHashAggRender: the executor's HashAgg renders AggKey by consuming
-// group key values in order; our spec's Col for AggKey is the position in
-// the group key, which matches that behaviour.
-
 func (d *Database) compileSort(n *optimizer.Node, meter *executor.Meter) (executor.Source, *layout, error) {
-	src, lay, err := d.compile(n.Children[0], meter)
+	src, lay, err := d.compile(n.Children[0], meter, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -220,8 +232,10 @@ func (d *Database) compileSort(n *optimizer.Node, meter *executor.Meter) (execut
 	return &executor.Sort{Child: src, Less: less, Meter: meter}, lay, nil
 }
 
-func (d *Database) compileProject(n *optimizer.Node, meter *executor.Meter) (executor.Source, *layout, error) {
-	src, childLay, err := d.compile(n.Children[0], meter)
+// compileProject builds the projection. For a consumer that keeps its
+// rows each is a new row; otherwise every row is written into one buffer.
+func (d *Database) compileProject(n *optimizer.Node, meter *executor.Meter, keep bool) (executor.Source, *layout, error) {
+	src, childLay, err := d.compile(n.Children[0], meter, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -259,6 +273,15 @@ func (d *Database) compileProject(n *optimizer.Node, meter *executor.Meter) (exe
 			out[i] = r[idx]
 		}
 		return out
+	}
+	if !keep {
+		out := make(value.Row, len(idxs))
+		fn = func(r value.Row) value.Row {
+			for i, idx := range idxs {
+				out[i] = r[idx]
+			}
+			return out
+		}
 	}
 	return &executor.Project{Child: src, Fn: fn, Meter: meter}, outLay, nil
 }

@@ -163,7 +163,7 @@ func (d *Database) execBulkInsert(s *sqlparser.BulkInsertStmt, meter *executor.M
 
 // matchedRow pairs a base row with its locator.
 type matchedRow struct {
-	row value.Row // base columns only (layout row trimmed of the RID)
+	row value.Row
 	loc value.Key
 	rid storage.RID
 }
@@ -171,33 +171,26 @@ type matchedRow struct {
 // collectMatches runs the access child of a write plan and extracts base
 // rows + locators. The rows are the source's own, not copies: no one
 // writes a row the source hands out, and execUpdate clones one before it
-// modifies it.
+// modifies it. A heap row's RID comes from the source that read it.
 func (d *Database) collectMatches(access *optimizer.Node, t *tableData, pk []int, meter *executor.Meter) ([]matchedRow, error) {
-	src, lay, err := d.compile(access, meter)
+	src, _, err := d.compileAccess(access, meter)
 	if err != nil {
 		return nil, err
 	}
-	ncols := len(t.def.Columns)
-	ridIdx := lay.find("", ridColName)
 	var out []matchedRow
 	for {
-		r, ok := src.Next()
+		row, rid, ok := src.next()
 		if !ok {
 			break
 		}
-		m := matchedRow{row: r[:ncols]}
+		m := matchedRow{row: row, rid: rid}
 		if t.clustered != nil {
-			k := make(value.Key, len(pk))
+			m.loc = make(value.Key, len(pk))
 			for i, o := range pk {
-				k[i] = m.row[o]
+				m.loc[i] = row[o]
 			}
-			m.loc = k
 		} else {
-			if ridIdx < 0 {
-				return nil, fmt.Errorf("engine: heap write plan lost its RID column")
-			}
-			m.rid = storage.RID(r[ridIdx].I)
-			m.loc = value.Key{r[ridIdx]}
+			m.loc = value.Key{value.NewInt(int64(rid))}
 		}
 		out = append(out, m)
 	}

@@ -30,13 +30,18 @@ type Result struct {
 	RowsAffected int64
 }
 
-// ExecOptions modulates statement execution. The zero value is the
-// simulator's behaviour.
+// ExecOptions modulates statement execution. The zero value returns the
+// result rows and records the execution as simulated workload.
 type ExecOptions struct {
 	// LiveCapture marks the execution as captured from a real client
 	// session; Query Store tracks the split so tuning can report whether
 	// a recommendation was driven by live or simulated workload.
 	LiveCapture bool
+	// DiscardRows runs a query for what the tuner sees of it alone: it is
+	// planned, metered, captured and recorded as usual, but no result row
+	// is built and Result.Rows is nil. Workload replay sets it, because
+	// nothing reads the rows it produces.
+	DiscardRows bool
 }
 
 // parseStatementText parses a statement (exposed for module registration).
@@ -97,7 +102,7 @@ func (d *Database) ExecStmtWith(stmt sqlparser.Statement, opts ExecOptions) (*Re
 
 	meter := &executor.Meter{}
 	d.mu.Lock()
-	res, err := d.run(plan, stmt, meter)
+	res, err := d.run(plan, stmt, meter, opts.DiscardRows)
 	d.execCount++
 	dataChanged := err == nil && res.RowsAffected > 0
 	if dataChanged {
@@ -212,8 +217,9 @@ func (a *miAdapter) ObserveMissingIndex(c dmv.Candidate, queryHash uint64, estCo
 	a.d.miDMV.Observe(c, queryHash, estCost, improvementPct, a.d.clock.Now())
 }
 
-// run executes the plan under d.mu.
-func (d *Database) run(plan *optimizer.Plan, stmt sqlparser.Statement, meter *executor.Meter) (*Result, error) {
+// run executes the plan under d.mu. A query's result rows are built
+// unless discard is set.
+func (d *Database) run(plan *optimizer.Plan, stmt sqlparser.Statement, meter *executor.Meter, discard bool) (*Result, error) {
 	switch plan.Root.Kind {
 	case optimizer.KindInsert:
 		switch s := stmt.(type) {
@@ -234,19 +240,21 @@ func (d *Database) run(plan *optimizer.Plan, stmt sqlparser.Statement, meter *ex
 		n, err := d.execDelete(plan.Root, s, meter)
 		return &Result{RowsAffected: n}, err
 	default:
-		src, lay, err := d.compile(plan.Root, meter)
+		src, lay, err := d.compile(plan.Root, meter, !discard)
 		if err != nil {
 			return nil, err
 		}
-		rows := executor.Drain(src)
-		cols := make([]string, 0, len(lay.cols))
-		for _, c := range lay.cols {
-			if c.name == ridColName {
-				continue
-			}
-			cols = append(cols, c.name)
+		res := &Result{Columns: make([]string, len(lay.cols))}
+		for i, c := range lay.cols {
+			res.Columns[i] = c.name
 		}
-		return &Result{Rows: rows, Columns: cols}, nil
+		if discard {
+			for _, ok := src.Next(); ok; _, ok = src.Next() {
+			}
+		} else {
+			res.Rows = executor.Drain(src)
+		}
+		return res, nil
 	}
 }
 
@@ -281,18 +289,16 @@ func concatLayouts(a, b *layout) *layout {
 	return out
 }
 
+// ridColName names a heap locator column in a covering entry's layout.
 const ridColName = "__rid"
 
-// tableLayout is the full-row layout for an access node, with a hidden RID
-// column for heap tables so writes can locate rows.
+// tableLayout is the full-row layout for an access node: the table's
+// columns, as stored.
 func (d *Database) tableLayout(t *tableData, alias string) *layout {
 	l := &layout{}
 	a := strings.ToLower(alias)
 	for _, c := range t.def.Columns {
 		l.cols = append(l.cols, layoutCol{alias: a, name: strings.ToLower(c.Name)})
-	}
-	if t.heap != nil {
-		l.cols = append(l.cols, layoutCol{alias: a, name: ridColName})
 	}
 	return l
 }
@@ -361,16 +367,16 @@ func compilePreds(preds []sqlparser.Predicate, lay *layout) (func(value.Row) boo
 //     strict-bound test and one for the residual, each run only when the
 //     row passed the one before — in this order, because CPU units are a
 //     float sum and TestScanMeteringFrozen pins it to the bit;
-//  3. builds the output row only for a row that passed: withRID for a
-//     heap row, the stored row itself for a clustered one, a copy of the
-//     scratch row for a covering entry.
+//  3. hands out a row that passed: a heap, clustered or lookup row as
+//     stored, a covering entry as its scratch row (compile copies it for
+//     a consumer that keeps it).
 //
 // A stored row can be handed out uncopied because none is ever written
-// in place: btree.Insert and heap.Update swap the slice. So every row the
-// source hands out is one that no one else writes, and a rejected row
-// costs no allocation. Nothing is read ahead, so a consumer that stops
-// early (TOP n) is charged, and allocates, only for what it took. The
-// caller holds d.mu until the source is dropped.
+// in place: btree.Insert and heap.Update swap the slice. So a rejected
+// row costs no allocation, and a passing one costs one only when it is a
+// covering entry a consumer keeps. Nothing is read ahead, so a consumer
+// that stops early (TOP n) is charged only for what it took. The caller
+// holds d.mu until the source is dropped.
 type accessSource struct {
 	meter *executor.Meter
 	heap  *storage.Cursor // a heap scan; every other access iterates it
@@ -406,6 +412,13 @@ type entryReader struct {
 
 // Next implements executor.Source.
 func (s *accessSource) Next() (value.Row, bool) {
+	row, _, ok := s.next()
+	return row, ok
+}
+
+// next returns the next row that passed the access's tests and, for a
+// heap row, its RID.
+func (s *accessSource) next() (value.Row, storage.RID, bool) {
 	if s.firstPages != 0 {
 		s.meter.ChargePages(s.firstPages)
 		s.firstPages = 0
@@ -413,23 +426,12 @@ func (s *accessSource) Next() (value.Row, bool) {
 	for {
 		row, rid, ok := s.read()
 		if !ok {
-			return nil, false
+			return nil, 0, false
 		}
 		if row == nil || !s.pass(s.strict, row) || !s.pass(s.residual, row) {
 			continue
 		}
-		switch {
-		case s.heap != nil:
-			return withRID(row, rid), true
-		case s.entries == nil:
-			return row, true
-		case s.entries.scratch != nil:
-			return row.Clone(), true
-		case s.entries.t.heap != nil:
-			return withRID(row, rid), true
-		default:
-			return row, true
-		}
+		return row, rid, true
 	}
 }
 
@@ -499,19 +501,10 @@ func (r *entryReader) read(e btree.Entry, meter *executor.Meter) (value.Row, sto
 	return row, rid
 }
 
-// withRID returns a heap row in tableLayout shape: the base columns and
-// the hidden RID column.
-func withRID(base value.Row, rid storage.RID) value.Row {
-	row := make(value.Row, 0, len(base)+1)
-	row = append(row, base...)
-	return append(row, value.NewInt(int64(rid)))
-}
-
 // compileAccess builds the source for a base access node. It returns the
-// rows with the node's output layout. The predicates compile against
-// that layout, and test the row as stored: a heap row lacks only the
-// trailing RID column, which the optimizer lets no predicate name.
-func (d *Database) compileAccess(n *optimizer.Node, meter *executor.Meter) (executor.Source, *layout, error) {
+// rows with the node's output layout, which the predicates compile
+// against.
+func (d *Database) compileAccess(n *optimizer.Node, meter *executor.Meter) (*accessSource, *layout, error) {
 	t, ok := d.tables[strings.ToLower(n.Table)]
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: unknown table %q", n.Table)

@@ -6,6 +6,16 @@
 // the optimizer estimates in; the engine's access paths charge actual
 // page reads. The spread between the optimizer's estimate and the meter's
 // measurement is the raw material of the paper's validation problem.
+//
+// A row is built only for a consumer that keeps it. Sort keeps the rows
+// it is handed, and so does a hash join's build side; every other
+// consumer reads a row and drops it. A source whose consumer does not
+// keep its rows may hand out one row it reuses: a row given to such a
+// consumer is valid until that consumer next calls Next on the same
+// source. A hash-join probe row and a nested-loops outer row are held
+// only while their matches are emitted, and their source is not advanced
+// meanwhile. The joins write every output row into one buffer of their
+// own, so a consumer that keeps a join's rows copies them.
 package executor
 
 import (
@@ -312,7 +322,8 @@ func (h *HashAgg) render(g *aggGroup) value.Row {
 }
 
 // HashJoin builds a hash table from the build side and probes it with the
-// probe side. Output rows are probe row ++ build row.
+// probe side. Output rows are probe row ++ build row, written into one
+// buffer; a probe row's matches come out in build order.
 type HashJoin struct {
 	Probe    Source
 	Build    Source
@@ -320,40 +331,33 @@ type HashJoin struct {
 	BuildCol int
 	Meter    *Meter
 
-	built   bool
-	table   map[uint64][]value.Row
-	pending []value.Row
-	current value.Row
+	rows  []buildRow     // the build rows with a non-NULL key, in build order
+	heads map[uint64]int // hash -> first build row of its chain; nil until built
+	probe value.Row      // the probe row whose chain is being walked
+	at    int            // the next build row of that chain; -1 when done
+	out   value.Row
+}
+
+// buildRow is one build row and the next row in its hash chain (-1 ends
+// it).
+type buildRow struct {
+	row  value.Row
+	next int
 }
 
 // Next implements Source.
 func (j *HashJoin) Next() (value.Row, bool) {
-	if !j.built {
-		j.table = make(map[uint64][]value.Row)
-		for {
-			r, ok := j.Build.Next()
-			if !ok {
-				break
-			}
-			j.Meter.ChargeRows(1)
-			j.Meter.ChargeCPU(optimizer.HashBuildPerRow)
-			v := r[j.BuildCol]
-			if v.IsNull() {
-				continue
-			}
-			h := v.Hash()
-			j.table[h] = append(j.table[h], r)
-		}
-		j.built = true
+	if j.heads == nil {
+		j.build()
 	}
 	for {
-		if len(j.pending) > 0 {
-			b := j.pending[0]
-			j.pending = j.pending[1:]
-			out := make(value.Row, 0, len(j.current)+len(b))
-			out = append(out, j.current...)
-			out = append(out, b...)
-			return out, true
+		for j.at >= 0 {
+			b := &j.rows[j.at]
+			j.at = b.next
+			if value.Equal(b.row[j.BuildCol], j.probe[j.ProbeCol]) {
+				j.out = append(append(j.out[:0], j.probe...), b.row...)
+				return j.out, true
+			}
 		}
 		p, ok := j.Probe.Next()
 		if !ok {
@@ -364,17 +368,40 @@ func (j *HashJoin) Next() (value.Row, bool) {
 		if v.IsNull() {
 			continue
 		}
-		for _, b := range j.table[v.Hash()] {
-			if value.Equal(b[j.BuildCol], v) {
-				j.pending = append(j.pending, b)
-			}
+		if head, ok := j.heads[v.Hash()]; ok {
+			j.probe, j.at = p, head
 		}
-		j.current = p
 	}
+}
+
+func (j *HashJoin) build() {
+	for {
+		r, ok := j.Build.Next()
+		if !ok {
+			break
+		}
+		j.Meter.ChargeRows(1)
+		j.Meter.ChargeCPU(optimizer.HashBuildPerRow)
+		if !r[j.BuildCol].IsNull() {
+			j.rows = append(j.rows, buildRow{row: r})
+		}
+	}
+	// Link each chain from its last row back, so it reads in build order.
+	j.heads = make(map[uint64]int)
+	for i := len(j.rows) - 1; i >= 0; i-- {
+		h := j.rows[i].row[j.BuildCol].Hash()
+		j.rows[i].next = -1
+		if head, ok := j.heads[h]; ok {
+			j.rows[i].next = head
+		}
+		j.heads[h] = i
+	}
+	j.at = -1
 }
 
 // NLJoin is an index nested-loops join: for each outer row it asks Bind
 // for a matching inner stream (typically an index seek on the join key).
+// Output rows are outer row ++ inner row, written into one buffer.
 type NLJoin struct {
 	Outer    Source
 	OuterCol int
@@ -385,6 +412,7 @@ type NLJoin struct {
 
 	inner   Source
 	current value.Row
+	out     value.Row
 }
 
 // Next implements Source.
@@ -392,10 +420,8 @@ func (j *NLJoin) Next() (value.Row, bool) {
 	for {
 		if j.inner != nil {
 			if r, ok := j.inner.Next(); ok {
-				out := make(value.Row, 0, len(j.current)+len(r))
-				out = append(out, j.current...)
-				out = append(out, r...)
-				return out, true
+				j.out = append(append(j.out[:0], j.current...), r...)
+				return j.out, true
 			}
 			j.inner = nil
 		}

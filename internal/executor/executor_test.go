@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -20,6 +21,16 @@ func drainInts(s Source) []int64 {
 	var out []int64
 	for _, r := range Drain(s) {
 		out = append(out, r[0].I)
+	}
+	return out
+}
+
+// keep drains a source as a consumer that keeps its rows must: by copying
+// each one.
+func keep(s Source) []value.Row {
+	var out []value.Row
+	for r, ok := s.Next(); ok; r, ok = s.Next() {
+		out = append(out, r.Clone())
 	}
 	return out
 }
@@ -148,15 +159,10 @@ func TestHashJoin(t *testing.T) {
 		Probe: &SliceSource{Rows: probe}, Build: &SliceSource{Rows: build},
 		ProbeCol: 0, BuildCol: 0, Meter: m,
 	}
-	out := Drain(j)
-	// key 1 matches twice, key 3 once → 3 output rows of width 4.
-	if len(out) != 3 {
-		t.Fatalf("join rows: %d", len(out))
-	}
-	for _, r := range out {
-		if len(r) != 4 || r[0].I != r[2].I {
-			t.Fatalf("bad join row: %v", r)
-		}
+	// Key 1 matches twice, in build order, and key 3 once.
+	want := []value.Row{makeRow(1, 100, 1, 11), makeRow(1, 100, 1, 12), makeRow(3, 300, 3, 33)}
+	if out := keep(j); fmt.Sprint(out) != fmt.Sprint(want) {
+		t.Fatalf("join rows %v, want %v", out, want)
 	}
 }
 

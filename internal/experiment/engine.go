@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"autoindex/internal/binstance"
+	"autoindex/internal/engine"
 	"autoindex/internal/sim"
 	"autoindex/internal/workload"
 )
@@ -119,7 +120,7 @@ func StepReplay(name string, d time.Duration, statements int, throughPrimary boo
 				// Execute on the A-instance and fork each statement.
 				step := d / time.Duration(len(stmts)+1)
 				for _, sql := range stmts {
-					ctx.Tenant.DB.Exec(sql) //nolint:errcheck // A-side errors don't gate the fork
+					ctx.Tenant.DB.ExecWith(sql, engine.ExecOptions{DiscardRows: true}) //nolint:errcheck // A-side errors don't gate the fork
 					ctx.B.Offer(sql)
 					ctx.Clock.Sleep(step)
 				}

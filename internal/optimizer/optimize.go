@@ -91,6 +91,9 @@ type boundTable struct {
 	info  TableInfo
 	preds []sqlparser.Predicate
 	// needed is the set of this table's columns referenced by the query.
+	// It is nil for the table an UPDATE or DELETE modifies: the write
+	// reads whole base rows, so a secondary index serves it only by
+	// lookups.
 	needed map[string]bool
 }
 
@@ -402,7 +405,7 @@ func (o *Optimizer) indexPath(bt *boundTable, ix IndexInfo) (accessPath, bool) {
 		remaining = kept
 	}
 	residual = remaining
-	covering := coversWithLocator(ix.Def, bt.info, bt.neededCols())
+	covering := (bt.needed != nil || ix.Def.Kind == schema.Clustered) && coversWithLocator(ix.Def, bt.info, bt.neededCols())
 	if len(seekEq) == 0 && len(seekRange) == 0 {
 		// No sargable predicate: only useful as a covering scan narrower
 		// than the base table.
@@ -874,7 +877,7 @@ func (o *Optimizer) insertNode(t TableInfo, table string, rows float64) (*Node, 
 }
 
 func (o *Optimizer) planUpdate(s *sqlparser.UpdateStmt) (*Node, error) {
-	access, bt, err := o.planWriteAccess(s.Table, s.Where, writeNeededColumns(s))
+	access, err := o.planWriteAccess(s.Table, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -898,7 +901,6 @@ func (o *Optimizer) planUpdate(s *sqlparser.UpdateStmt) (*Node, error) {
 		}
 	}
 	cost += rows * CPUPerRow * float64(1+len(maint))
-	_ = bt
 	return &Node{
 		Kind:         KindUpdate,
 		Table:        s.Table,
@@ -912,7 +914,7 @@ func (o *Optimizer) planUpdate(s *sqlparser.UpdateStmt) (*Node, error) {
 }
 
 func (o *Optimizer) planDelete(s *sqlparser.DeleteStmt) (*Node, error) {
-	access, _, err := o.planWriteAccess(s.Table, s.Where, nil)
+	access, err := o.planWriteAccess(s.Table, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -938,41 +940,24 @@ func (o *Optimizer) planDelete(s *sqlparser.DeleteStmt) (*Node, error) {
 	}, nil
 }
 
-func writeNeededColumns(s *sqlparser.UpdateStmt) []string {
-	var cols []string
-	for _, a := range s.Set {
-		cols = append(cols, a.Column)
-	}
-	return cols
-}
-
 // planWriteAccess plans the row-identification part of an UPDATE/DELETE.
-func (o *Optimizer) planWriteAccess(table string, where []sqlparser.Predicate, extraCols []string) (*Node, *boundTable, error) {
+func (o *Optimizer) planWriteAccess(table string, where []sqlparser.Predicate) (*Node, error) {
 	b, err := o.bind(sqlparser.TableRef{Table: table}, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bt := b.tables[0]
+	bt.needed = nil
 	for _, p := range where {
 		_, col, err := b.resolve(p.Col)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		q := p
 		q.Col = sqlparser.ColRef{Table: bt.ref.Name(), Column: col}
 		bt.preds = append(bt.preds, q)
-		b.need(bt, col)
 	}
-	for _, c := range extraCols {
-		b.need(bt, c)
-	}
-	// Writes always need the full row (to maintain indexes), so the
-	// access is never index-covering.
-	for _, c := range bt.info.Def.Columns {
-		b.need(bt, c.Name)
-	}
-	path := o.bestAccessPath(bt)
-	return path.node, bt, nil
+	return o.bestAccessPath(bt).node, nil
 }
 
 // ---- what-if convenience ----

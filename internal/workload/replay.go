@@ -74,7 +74,7 @@ func (t *Tenant) Replay(db *engine.Database, stmts []string, d time.Duration) Ru
 	}
 	step := d / time.Duration(len(stmts))
 	for _, sql := range stmts {
-		res, err := db.Exec(sql)
+		res, err := db.ExecWith(sql, engine.ExecOptions{DiscardRows: true})
 		stats.Statements++
 		if err != nil {
 			stats.Errors++

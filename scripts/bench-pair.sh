@@ -12,7 +12,13 @@
 # interpolated at (n+1)q, which is how a gain is judged; each metric ends
 # with a CLAIM-TEST line that passes when the change won at least nine
 # tenths of the pairs and the medians differ, in the better direction, by
-# more than the parent's q3 - q1.
+# more than the parent's q3 - q1. A metric with a bound in BENCHMARK.json
+# (the end-to-end ones) also gets a BOUND-TEST line, the "no worse" rule
+# (choosing-metrics section 6, item 5), the bound read as a share of the
+# parent median: fail when the change median is worse than the parent's
+# by more than the bound; else unresolved when the parent's q3 - q1
+# exceeds the bound, unless every change run beats every parent run; else
+# pass.
 #
 # WORKLOAD is a bench workload name or "all". SEED=<n> fixes the first
 # pair's seed (pair i uses SEED+i-1); by default it is taken from the
@@ -86,6 +92,7 @@ FILENAME ~ /BENCHMARK.json$/ {
 	if ($0 ~ /"(end_to_end|per_layer)"/) on = ($0 ~ "\"" section "\"")
 	if (on && $0 ~ /"name"/) { gsub(/[",]/, ""); name = $2; order[++metrics] = name }
 	if (on && $0 ~ /"better"/) { gsub(/[",]/, ""); better[name] = $2 }
+	if (on && $0 ~ /"bound"/) { gsub(/[",]/, ""); bound[name] = $2 }
 	next
 }
 FNR == 1 {
@@ -119,6 +126,15 @@ END {
 			printf "  change/parent %.3f of base %.6g; change won %d, lost %d, tied %d of %d pairs\n", (pm ? cm / pm : 0), pm, won, lost, tied, pairs
 			printf "  CLAIM-TEST %s: won %d of %d pairs (needs %d); median gain %.6g vs parent q3-q1 %.6g\n", \
 				(won >= need && gain > pq3 - pq1 ? "pass" : "fail"), won, pairs, need, gain, pq3 - pq1
+			if (name in bound) {
+				base = pm < 0 ? -pm : pm
+				if (base == 0) base = 1
+				worse = -gain / base; spread = (pq3 - pq1) / base
+				beats = better[name] == "lower" ? c[nc] < p[1] : c[1] > p[np]
+				verdict = worse > bound[name] ? "fail" : (spread > bound[name] && !beats ? "unresolved" : "pass")
+				printf "  BOUND-TEST %s: change median %+.2f%% in the worse direction, bound %.2f%%; parent q3-q1 %.2f%% of its median; every change run better: %s\n", \
+					verdict, 100 * worse, 100 * bound[name], 100 * spread, (beats ? "yes" : "no")
+			}
 		}
 	}
 	differing = 0
