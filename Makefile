@@ -154,7 +154,7 @@ loc:
 # The ratchet on that number: fails when `make loc` exceeds LOC_MAX, the
 # last design PR's result. Lowering it is part of every design PR;
 # raising it needs a sentence in CHANGES.md saying what the lines buy.
-LOC_MAX = 29868
+LOC_MAX = 29905
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_MAX) ]; then \

@@ -7,6 +7,7 @@ package btree
 
 import (
 	"fmt"
+	"slices"
 
 	"autoindex/internal/value"
 )
@@ -442,6 +443,29 @@ func Load(order int, nodes []DumpedNode) (*Tree, error) {
 		}
 	}
 	return &Tree{order: order, root: root, size: size, leaves: leaves}, nil
+}
+
+// Clone returns a copy of t node for node. Insert and Delete write a
+// node's arrays in place, so the copy's nodes and arrays are its own; the
+// keys and payload rows, which no caller writes in place, are shared.
+func (t *Tree) Clone() *Tree {
+	var prevLeaf *node
+	var walk func(n *node) *node
+	walk = func(n *node) *node {
+		c := &node{leaf: n.leaf, keys: slices.Clone(n.keys), payloads: slices.Clone(n.payloads)}
+		if n.leaf {
+			if prevLeaf != nil {
+				prevLeaf.next = c
+			}
+			prevLeaf = c
+		}
+		c.children = slices.Clone(n.children)
+		for i, child := range c.children {
+			c.children[i] = walk(child)
+		}
+		return c
+	}
+	return &Tree{order: t.order, root: walk(t.root), size: t.size, leaves: t.leaves}
 }
 
 // Order returns the tree's fan-out, for serialization.

@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -264,6 +266,66 @@ func TestQuickRangeScanMatchesSort(t *testing.T) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomWrites applies n random inserts and deletes over keys [0, span):
+// about a third are deletes, which leave leaves underfull or empty.
+func randomWrites(tr *Tree, r *rand.Rand, n int, span int64) {
+	for i := 0; i < n; i++ {
+		k := r.Int63n(span)
+		if r.Intn(3) == 0 {
+			tr.Delete(intKey(k))
+		} else {
+			tr.Insert(intKey(k), value.Row{value.NewInt(r.Int63n(1 << 30))})
+		}
+	}
+}
+
+// dumpText renders a tree's exact structure as a string, a copy that no
+// later write to the tree's arrays can reach.
+func dumpText(tr *Tree) string { return fmt.Sprint(tr.Dump()) }
+
+// TestQuickCloneIsPrivateStructureSharedEntries is a property test of
+// Clone over random insert and delete histories: the clone is Dump-equal
+// to its source, passes CheckInvariants with equal Len, Height and
+// LeafCount, shares every key and payload row with the source, and random
+// writes to either side leave the other side's Dump unchanged.
+func TestQuickCloneIsPrivateStructureSharedEntries(t *testing.T) {
+	f := func(history uint16, order uint8, seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		src := New(4 + int(order%12))
+		randomWrites(src, r, int(history%1500), 500)
+		clone := src.Clone()
+		if !reflect.DeepEqual(clone.Dump(), src.Dump()) || clone.CheckInvariants() != nil ||
+			clone.Len() != src.Len() || clone.Height() != src.Height() ||
+			clone.LeafCount() != src.LeafCount() || clone.LeafCount() != chainLeaves(clone) {
+			return false
+		}
+		var srcEntries []Entry
+		src.Ascend(func(e Entry) bool { srcEntries = append(srcEntries, e); return true })
+		i, shared := 0, true
+		clone.Ascend(func(e Entry) bool {
+			s := srcEntries[i]
+			shared = shared && &e.Key[0] == &s.Key[0] && &e.Payload[0] == &s.Payload[0]
+			i++
+			return shared
+		})
+		if !shared {
+			return false
+		}
+		for _, side := range [][2]*Tree{{src, clone}, {clone, src}} {
+			written, other := side[0], side[1]
+			want := dumpText(other)
+			randomWrites(written, r, 400, 700)
+			if dumpText(other) != want || written.CheckInvariants() != nil || other.CheckInvariants() != nil {
 				return false
 			}
 		}

@@ -594,17 +594,6 @@ func (d *Database) IndexDef(name string) (schema.IndexDef, bool) {
 	return ix.def.Clone(), true
 }
 
-// IndexSizeBytes returns the estimated on-disk size of an index.
-func (d *Database) IndexSizeBytes(name string) (int64, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	ix, ok := d.indexes[strings.ToLower(name)]
-	if !ok {
-		return 0, false
-	}
-	return ix.sizeBytes, true
-}
-
 // RowCount returns a table's row count.
 func (d *Database) RowCount(table string) int64 {
 	d.mu.RLock()

@@ -312,7 +312,7 @@ func (d *Database) DropColumn(table, column string) error {
 		})
 	}
 	// The definition may be shared copy-on-write with archetype siblings
-	// (see SeedTable); fork a private copy before mutating it so the drop
+	// (see Stamp); fork a private copy before mutating it so the drop
 	// is invisible to every other tenant stamped from the same template.
 	forked := cloneTableDef(t.def)
 	forked.Columns = newCols
@@ -433,19 +433,4 @@ func (d *Database) RenameColumn(table, oldName, newName string) error {
 	d.noteSchemaChange()
 	d.mu.Unlock()
 	return nil
-}
-
-// DroppedAutoIndexes is a helper for tests: names of auto-created indexes
-// referencing a column (the cascade candidates).
-func (d *Database) DroppedAutoIndexes(table, column string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var out []string
-	for _, ix := range d.indexes {
-		if strings.EqualFold(ix.def.Table, table) && ix.def.HasColumn(column) && ix.def.AutoCreated {
-			out = append(out, ix.def.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

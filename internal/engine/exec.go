@@ -372,7 +372,10 @@ func compilePreds(preds []sqlparser.Predicate, lay *layout) (func(value.Row) boo
 //     a consumer that keeps it).
 //
 // A stored row can be handed out uncopied because none is ever written
-// in place: btree.Insert and heap.Update swap the slice. So a rejected
+// in place: btree.Insert and heap.Update swap the slice. No tree key or
+// index-entry payload is written in place either — only a node's arrays
+// are — which is what lets a stamped tenant share them with its
+// archetype's catalog and siblings (see SharedCatalog). So a rejected
 // row costs no allocation, and a passing one costs one only when it is a
 // covering entry a consumer keeps. Nothing is read ahead, so a consumer
 // that stops early (TOP n) is charged only for what it took. The caller

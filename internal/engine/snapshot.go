@@ -212,7 +212,7 @@ func walkIndex(c snap.Codec, ix *indexData, k string, tables map[string]*tableDa
 // encodeTable writes one table: its definition (or a flag that it is the
 // archetype's), the row count, and the clustered tree or the heap.
 func encodeTable(w *snap.Writer, t *tableData, sc *SharedCatalog, k string) {
-	sharedDef := sc != nil && sc.tables[k] == t.def
+	sharedDef := sc.def(k) == t.def
 	w.Bool(sharedDef)
 	if !sharedDef {
 		walkTableDef(snap.Encoder(w), t.def)
@@ -241,10 +241,7 @@ func encodeTable(w *snap.Writer, t *tableData, sc *SharedCatalog, k string) {
 func decodeTable(r *snap.Reader, sc *SharedCatalog, k string) *tableData {
 	t := &tableData{}
 	if r.Bool() {
-		if sc != nil {
-			t.def = sc.tables[k]
-		}
-		if t.def == nil {
+		if t.def = sc.def(k); t.def == nil {
 			r.Failf("table %q references a shared definition outside its archetype", k)
 			return nil
 		}

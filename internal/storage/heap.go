@@ -7,6 +7,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"autoindex/internal/value"
 )
@@ -147,6 +148,11 @@ func (c *Cursor) Next() (RID, value.Row, bool) {
 // order exactly; re-inserting live rows would renumber them.
 func (h *Heap) Dump() (rows []value.Row, free []RID, rowWidth int) {
 	return h.rows, h.free, h.rowWidth
+}
+
+// Clone returns a heap with its own slots over the same rows.
+func (h *Heap) Clone() *Heap {
+	return &Heap{rows: slices.Clone(h.rows), free: slices.Clone(h.free), live: h.live, rowWidth: h.rowWidth}
 }
 
 // Restore reconstructs a heap from Dump output, validating that the free

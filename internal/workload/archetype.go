@@ -6,7 +6,6 @@ import (
 	"autoindex/internal/engine"
 	"autoindex/internal/schema"
 	"autoindex/internal/sim"
-	"autoindex/internal/stats"
 )
 
 // Archetype is a tenant template built once and stamped onto many
@@ -35,17 +34,12 @@ type Archetype struct {
 	// onto each sibling at creation.
 	Indexes []schema.IndexDef
 	// Shared is the copy-on-write catalog (canonical table definitions,
-	// base rows, histograms) the engine aliases and the hibernation codec
-	// writes references into.
+	// base rows, their built trees and user indexes, histograms) every
+	// stamp clones or aliases and the hibernation codec writes references
+	// into.
 	Shared *engine.SharedCatalog
 
-	statCols      []archStat
 	longQueryProb float64
-}
-
-type archStat struct {
-	table, column string
-	st            *stats.ColumnStats
 }
 
 // NewArchetype builds the template tenant for a profile and harvests it
@@ -69,14 +63,23 @@ func NewArchetype(p Profile, clock sim.Clock) (*Archetype, error) {
 	// Canonical base rows: regenerate with the same seed-keyed streams
 	// createAndPopulate used. generateRows draws only from name-keyed
 	// children, so the regeneration is bit-identical to what the template
-	// database was populated with.
+	// database was populated with. The catalog builds each table's tree
+	// and then each user index over these rows once; every stamp clones
+	// them.
 	data := tpl.rng.Child("data")
 	for _, ts := range a.Tables {
 		def := tpl.DB.TableDefPtr(ts.Name)
 		if def == nil {
 			return nil, fmt.Errorf("workload: archetype %s: table %s missing from template", p.Name, ts.Name)
 		}
-		a.Shared.AddTable(def, generateRows(ts, ts.Rows, data.Child(ts.Name)))
+		if err := a.Shared.AddTable(def, generateRows(ts, ts.Rows, data.Child(ts.Name))); err != nil {
+			return nil, err
+		}
+	}
+	for _, def := range a.Indexes {
+		if err := a.Shared.AddIndex(def); err != nil {
+			return nil, err
+		}
 	}
 	// Canonical histograms: the template's sampled statistics, shared by
 	// pointer until a tenant's own refresh forks them.
@@ -84,7 +87,6 @@ func NewArchetype(p Profile, clock sim.Clock) (*Archetype, error) {
 		for _, c := range ts.Columns {
 			if st := tpl.DB.StatPtr(ts.Name, c.Name); st != nil {
 				a.Shared.AddStats(ts.Name, c.Name, st)
-				a.statCols = append(a.statCols, archStat{table: ts.Name, column: c.Name, st: st})
 			}
 		}
 	}
@@ -95,8 +97,10 @@ func NewArchetype(p Profile, clock sim.Clock) (*Archetype, error) {
 // engine shell whose tables alias the archetype's definitions and base
 // rows, whose statistics alias the archetype's histograms, and whose
 // statement mix is the shared template slice. Construction does no row
-// generation and no statistics builds — stamping cost is one B+ tree /
-// heap build over shared row slices.
+// generation, no statistics builds and no tree builds — stamping cost is
+// one structural copy of each of the catalog's trees (engine Stamp),
+// whose index entries the tenant shares with every sibling until a write
+// replaces them.
 func NewTenantFromArchetype(a *Archetype, name string, seed int64, clock sim.Clock) (*Tenant, error) {
 	p := a.Profile
 	p.Name = name
@@ -114,19 +118,9 @@ func NewTenantFromArchetype(a *Archetype, name string, seed int64, clock sim.Clo
 		insertIDs:     make(map[string]int64),
 		feedNext:      make(map[string]int64),
 	}
+	db.Stamp(a.Shared, clock.Now())
 	for _, ts := range a.Tables {
-		if err := db.SeedTable(a.Shared.TableDef(ts.Name), a.Shared.Rows(ts.Name)); err != nil {
-			return nil, err
-		}
 		t.registerFeed(ts)
-	}
-	for _, def := range a.Indexes {
-		if err := db.SeedIndex(def, clock.Now()); err != nil {
-			return nil, err
-		}
-	}
-	for _, s := range a.statCols {
-		db.SeedStats(s.table, s.column, s.st)
 	}
 	return t, nil
 }

@@ -2,10 +2,16 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
+	"autoindex/internal/btree"
 	"autoindex/internal/engine"
+	"autoindex/internal/schema"
 	"autoindex/internal/sim"
+	"autoindex/internal/value"
 )
 
 // stampSiblings builds one archetype and stamps n sibling tenants from
@@ -184,6 +190,306 @@ func TestCOWStatsRefreshForksOnlyThatTenant(t *testing.T) {
 			if got := sibs[i].DB.StatPtr(sc.table, sc.column); got != canon {
 				t.Errorf("sibling %d: stats %s.%s forked by sibling 1's refresh", i, sc.table, sc.column)
 			}
+		}
+	}
+}
+
+// project picks the named columns of row, then appends loc: the shape of
+// an index entry's key (key columns) and payload (included columns).
+func project(def *schema.Table, row value.Row, cols []string, loc value.Key) []value.Value {
+	out := make([]value.Value, 0, len(cols)+len(loc))
+	for _, c := range cols {
+		out = append(out, row[def.ColumnIndex(c)])
+	}
+	return append(out, loc...)
+}
+
+// TestCOWStampedTreesMatchAFreshBuild: every stamped clustered and
+// secondary tree is Dump-equal to one built by inserting the catalog's
+// entries in stamp order — the clustered tree in row order, each index in
+// the table's storage order — so Height, LeafCount and every snapshot
+// byte are what a tree built at stamp time had.
+func TestCOWStampedTreesMatchAFreshBuild(t *testing.T) {
+	arch, sibs := stampSiblings(t, 3)
+	indexes := 0
+	for _, ts := range arch.Tables {
+		def := arch.Shared.TableDef(ts.Name)
+		rows := arch.Shared.Rows(ts.Name)
+		type stored struct {
+			row value.Row
+			loc value.Key
+		}
+		var order []stored
+		var clustered *btree.Tree
+		if len(def.PrimaryKey) > 0 {
+			clustered = btree.New(btree.DefaultOrder)
+			for _, r := range rows {
+				clustered.Insert(project(def, r, def.PrimaryKey, nil), r)
+			}
+			clustered.Ascend(func(e btree.Entry) bool {
+				order = append(order, stored{e.Payload, e.Key})
+				return true
+			})
+		} else {
+			for i, r := range rows {
+				order = append(order, stored{r, value.Key{value.NewInt(int64(i))}})
+			}
+		}
+		for i, tn := range sibs {
+			if clustered != nil && !reflect.DeepEqual(tn.DB.Tree(ts.Name, "").Dump(), clustered.Dump()) {
+				t.Errorf("sibling %d: clustered tree of %s differs from a fresh build", i, ts.Name)
+			}
+		}
+		for _, ix := range arch.Indexes {
+			if !strings.EqualFold(ix.Table, ts.Name) {
+				continue
+			}
+			indexes++
+			want := btree.New(btree.DefaultOrder)
+			for _, s := range order {
+				want.Insert(project(def, s.row, ix.KeyColumns, s.loc), project(def, s.row, ix.IncludedColumns, s.loc))
+			}
+			for i, tn := range sibs {
+				if !reflect.DeepEqual(tn.DB.Tree("", ix.Name).Dump(), want.Dump()) {
+					t.Errorf("sibling %d: index %s differs from a fresh build", i, ix.Name)
+				}
+			}
+		}
+	}
+	if indexes == 0 {
+		t.Fatal("archetype has no user indexes")
+	}
+}
+
+// TestCOWIndexEntriesSharedNodesPrivate: siblings share every tree entry —
+// key and payload backing arrays are the same by pointer — while every
+// node's keys and payloads arrays are each sibling's own.
+func TestCOWIndexEntriesSharedNodesPrivate(t *testing.T) {
+	arch, sibs := stampSiblings(t, 3)
+	var trees [][2]string // (table, index)
+	for _, ts := range arch.Tables {
+		trees = append(trees, [2]string{ts.Name, ""})
+	}
+	for _, ix := range arch.Indexes {
+		trees = append(trees, [2]string{"", ix.Name})
+	}
+	for _, tr := range trees {
+		if sibs[0].DB.Tree(tr[0], tr[1]) == nil {
+			continue // a heap table
+		}
+		base := sibs[0].DB.Tree(tr[0], tr[1]).Dump()
+		for i, tn := range sibs[1:] {
+			for n, node := range tn.DB.Tree(tr[0], tr[1]).Dump() {
+				b := base[n]
+				if len(node.Keys) > 0 && &node.Keys[0] == &b.Keys[0] {
+					t.Fatalf("sibling %d: tree %v node %d shares its keys array", i+1, tr, n)
+				}
+				if len(node.Payloads) > 0 && &node.Payloads[0] == &b.Payloads[0] {
+					t.Fatalf("sibling %d: tree %v node %d shares its payloads array", i+1, tr, n)
+				}
+				for j, k := range node.Keys {
+					if &k[0] != &b.Keys[j][0] || (node.Leaf && &node.Payloads[j][0] != &b.Payloads[j][0]) {
+						t.Fatalf("sibling %d: tree %v node %d entry %d is a copy, want shared", i+1, tr, n, j)
+					}
+				}
+			}
+		}
+	}
+}
+
+// cowState renders a tenant's stored state — each table's definition,
+// rows in storage order and clustered tree, each index's definition and
+// tree — as text, a copy no later write can reach.
+func cowState(t *testing.T, tn *Tenant) string {
+	t.Helper()
+	var b strings.Builder
+	for _, ts := range tn.Tables {
+		res, err := tn.DB.Exec("SELECT * FROM " + ts.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(&b, *tn.DB.TableDefPtr(ts.Name), res.Rows)
+		if tr := tn.DB.Tree(ts.Name, ""); tr != nil {
+			fmt.Fprintln(&b, tr.Dump())
+		}
+	}
+	for _, def := range tn.DB.IndexDefs() {
+		fmt.Fprintln(&b, def, tn.DB.Tree("", def.Name).Dump())
+	}
+	return b.String()
+}
+
+// insertCopies inserts into every table a copy of its first catalog row
+// under a new id.
+func insertCopies(tn *Tenant, arch *Archetype, id int64) error {
+	for _, ts := range arch.Tables {
+		def := arch.Shared.TableDef(ts.Name)
+		cols, vals := make([]string, len(def.Columns)), make([]string, len(def.Columns))
+		for i, c := range def.Columns {
+			cols[i], vals[i] = c.Name, arch.Shared.Rows(ts.Name)[0][i].String()
+			if c.Name == "id" {
+				vals[i] = fmt.Sprint(id)
+			}
+		}
+		if _, err := tn.DB.Exec(fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)", ts.Name, strings.Join(cols, ", "), strings.Join(vals, ", "))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// twoValues returns a non-NULL value of column col of table and a
+// different one.
+func twoValues(t *testing.T, arch *Archetype, table, col string) (from, to value.Value) {
+	t.Helper()
+	ord := arch.Shared.TableDef(table).ColumnIndex(col)
+	for _, r := range arch.Shared.Rows(table) {
+		switch v := r[ord]; {
+		case v.IsNull():
+		case from.IsNull():
+			from = v
+		case value.Compare(v, from) != 0:
+			return from, v
+		}
+	}
+	t.Fatalf("column %s.%s has fewer than two distinct values", table, col)
+	return
+}
+
+// TestCOWWritesStayPrivate runs each kind of tenant-local change on one
+// of three siblings: an INSERT and a DELETE into every table, an UPDATE
+// of the key column and of an included column through each index,
+// DropColumn, RenameColumn of an indexed column, and CREATE and DROP
+// INDEX. After each, the other two siblings and the catalog (read
+// through a fresh stamp) are Dump-identical to before; and a probe
+// INSERT into every table of a sibling then gives the same trees as on a
+// control sibling probed before the change, so no index metadata (its
+// definition and column ordinals) was shared either.
+func TestCOWWritesStayPrivate(t *testing.T) {
+	arch, _ := stampSiblings(t, 0)
+	exec := func(sqls ...string) func(*Tenant) error {
+		return func(tn *Tenant) error {
+			for _, sql := range sqls {
+				res, err := tn.DB.Exec(sql)
+				if err != nil {
+					return err
+				}
+				if res.RowsAffected == 0 {
+					return fmt.Errorf("%s changed no row", sql)
+				}
+			}
+			return nil
+		}
+	}
+	type change struct {
+		name  string
+		apply func(*Tenant) error
+	}
+	changes := []change{{"insert", func(tn *Tenant) error { return insertCopies(tn, arch, 1<<45) }}}
+	var deletes []string
+	for _, ts := range arch.Tables {
+		first := arch.Shared.Rows(ts.Name)[0][0].String()
+		deletes = append(deletes, fmt.Sprintf("DELETE FROM %s WHERE id = %s", ts.Name, first))
+	}
+	changes = append(changes, change{"delete", exec(deletes...)})
+	for _, ix := range arch.Indexes {
+		key := ix.KeyColumns[0]
+		from, to := twoValues(t, arch, ix.Table, key)
+		changes = append(changes, change{"update key via " + ix.Name,
+			exec(fmt.Sprintf("UPDATE %s SET %s = %s WHERE %s = %s", ix.Table, key, to, key, from))})
+		for _, incl := range ix.IncludedColumns {
+			if incl == "id" {
+				continue
+			}
+			_, other := twoValues(t, arch, ix.Table, incl)
+			changes = append(changes, change{"update include via " + ix.Name,
+				exec(fmt.Sprintf("UPDATE %s SET %s = %s WHERE %s = %s", ix.Table, incl, other, key, from))})
+			break
+		}
+	}
+	table, column := droppableColumn(t, arch)
+	renamed := arch.Indexes[0]
+	changes = append(changes,
+		change{"drop column", func(tn *Tenant) error { return tn.DB.DropColumn(table, column) }},
+		change{"rename column", func(tn *Tenant) error {
+			return tn.DB.RenameColumn(renamed.Table, renamed.KeyColumns[0], "renamed_col")
+		}},
+		change{"create index", func(tn *Tenant) error {
+			return tn.DB.CreateIndex(schema.IndexDef{Name: "ix_cow", Table: table, KeyColumns: []string{column}}, engine.IndexBuildOptions{})
+		}},
+		change{"drop index", func(tn *Tenant) error { return tn.DB.DropIndex(renamed.Name, engine.DropIndexOptions{}) }},
+	)
+	includes := 0
+	for _, c := range changes {
+		if strings.HasPrefix(c.name, "update include") {
+			includes++
+		}
+	}
+	if includes == 0 {
+		t.Fatal("no user index has an included column to update")
+	}
+
+	stamp := func(name string) *Tenant {
+		tn, err := NewTenantFromArchetype(arch, name, 4242, sim.NewClock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tn
+	}
+	for _, c := range changes {
+		sibs := []*Tenant{stamp("cow00"), stamp("cow01"), stamp("cow02")}
+		control := stamp("cowctl")
+		base := cowState(t, sibs[1])
+		if err := insertCopies(control, arch, 1<<46); err != nil {
+			t.Fatal(err)
+		}
+		probed := cowState(t, control)
+		if err := c.apply(sibs[0]); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if cowState(t, sibs[0]) == base {
+			t.Fatalf("%s changed nothing on the sibling it ran on", c.name)
+		}
+		if cowState(t, sibs[1]) != base || cowState(t, sibs[2]) != base {
+			t.Errorf("%s on sibling 0 changed another sibling", c.name)
+		}
+		if cowState(t, stamp("cowfresh")) != base {
+			t.Errorf("%s on sibling 0 changed the catalog", c.name)
+		}
+		if err := insertCopies(sibs[2], arch, 1<<46); err != nil {
+			t.Fatal(err)
+		}
+		if cowState(t, sibs[2]) != probed {
+			t.Errorf("after %s on sibling 0, a write to sibling 2 differs from the same write before it", c.name)
+		}
+	}
+}
+
+// TestCOWConcurrentStampsAndWrites stamps siblings from one catalog on
+// several goroutines at once and replays writes on each: under the race
+// detector, this shows the catalog is only read and a sibling writes only
+// what is its own.
+func TestCOWConcurrentStampsAndWrites(t *testing.T) {
+	arch, _ := stampSiblings(t, 0)
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tn, err := NewTenantFromArchetype(arch, fmt.Sprintf("race%02d", i), int64(i), sim.NewClock())
+			if err == nil {
+				if st := tn.Run(0, 300); st.Errors > 0 || st.Writes == 0 {
+					err = fmt.Errorf("replay: %+v", st)
+				}
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("sibling %d: %v", i, err)
 		}
 	}
 }

@@ -59,5 +59,6 @@ func (t *Tenant) Release() {
 	t.rng = nil
 	t.insertIDs = nil
 	t.feedNext = nil
+	t.insertTails = nil
 	t.DB.Release()
 }

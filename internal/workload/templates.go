@@ -342,19 +342,13 @@ func (t *Tenant) generateTemplates() {
 				cols = append(cols, c.Name)
 			}
 			spec := ts
+			head := fmt.Sprintf("INSERT INTO %s (%s) VALUES (", spec.Name, strings.Join(cols, ", "))
 			writes = append(writes, &Template{
 				Name:    ts.Name + "/insert",
 				Weight:  1 + 2*r.Float64(),
 				IsWrite: true,
 				Gen: func(tn *Tenant) string {
-					row := generateRows(spec, 1, tn.rng.Child("ins/"+spec.Name))[0]
-					row[0] = value.NewInt(tn.nextInsertID(spec.Name))
-					vals := make([]string, len(row))
-					for i, v := range row {
-						vals[i] = v.String()
-					}
-					return fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
-						spec.Name, strings.Join(cols, ", "), strings.Join(vals, ", "))
+					return head + value.NewInt(tn.nextInsertID(spec.Name)).String() + tn.insertTail(spec)
 				},
 			})
 			writes = append(writes, &Template{

@@ -85,6 +85,8 @@ type Tenant struct {
 	// the state survives hibernation.
 	insertIDs map[string]int64
 	feedNext  map[string]int64
+	// insertTails memoizes insertTail; it is not serialized.
+	insertTails map[string]string
 }
 
 // Template is one parameterized statement pattern. Templates are
@@ -291,6 +293,23 @@ func (t *Tenant) nextInsertID(table string) int64 {
 	id++
 	t.insertIDs[table] = id
 	return id
+}
+
+// insertTail returns what follows the id in an INSERT into ts: the other
+// values, drawn from the stream "ins/<table>", which restarts at the same
+// seed whenever it is derived, so they are computed once per tenant.
+func (t *Tenant) insertTail(ts TableSpec) string {
+	tail, ok := t.insertTails[ts.Name]
+	if !ok {
+		for _, v := range generateRows(ts, 1, t.rng.Child("ins/"+ts.Name))[0][1:] {
+			tail += ", " + v.String()
+		}
+		if t.insertTails == nil {
+			t.insertTails = make(map[string]string)
+		}
+		t.insertTails[ts.Name] = tail + ")"
+	}
+	return t.insertTails[ts.Name]
 }
 
 // lastInsertID returns the most recently handed-out insert id (the base
