@@ -154,7 +154,7 @@ loc:
 # The ratchet on that number: fails when `make loc` exceeds LOC_MAX, the
 # last design PR's result. Lowering it is part of every design PR;
 # raising it needs a sentence in CHANGES.md saying what the lines buy.
-LOC_MAX = 29905
+LOC_MAX = 29985
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_MAX) ]; then \
@@ -163,7 +163,7 @@ loc-gate:
 
 # The single CI entry point: everything the workflow runs, runnable
 # locally with one command.
-ci: check loc-gate race cover smoke chaos-smoke scenarios bench-gate
+ci: check loc-gate race fuzz cover smoke chaos-smoke scenarios bench-gate
 
 clean:
 	$(GO) clean ./...

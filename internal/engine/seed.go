@@ -25,30 +25,38 @@ import (
 // pays for each archetype's data once. Nothing writes the catalog once
 // built, so tenants stamp from it in parallel.
 //
-// The catalog also powers hibernation: rows physically shared with the
-// catalog are serialized as (table, row-index) references rather than
-// values, keeping snapshots compact and re-aliasing the shared storage on
-// rehydrate. Index entries are written inline.
+// The catalog also powers hibernation: what a tenant still shares with
+// it is written into snapshots as references, keeping them compact and
+// re-aliasing the shared storage on rehydrate.
 type SharedCatalog struct {
-	tables  map[string]*tableData         // lower(name)
-	indexes []*indexData                  // stamp order
-	stats   map[string]*stats.ColumnStats // statKey
-	rows    map[string][]value.Row        // lower(name), stamp order
-	rowIdx  map[*value.Value]rowRef       // &row[0] identity -> position
+	tables               map[string]*tableData         // lower(name)
+	indexes              []*indexData                  // stamp order
+	stats                map[string]*stats.ColumnStats // statKey
+	tableRefs, indexRefs map[string]sharedStore        // lower(name)
+	lists                [][]value.Row                 // what a rowRef points into; [0] is empty
+	rowIdx               map[*value.Value]rowRef       // &row[0] identity of a row, key or payload -> position
 }
 
-type rowRef struct {
-	table string
-	idx   int
+type rowRef struct{ list, idx int }
+
+// sharedStore is how snapshots reference a catalog table or index: its
+// payload and key lists (base rows in stamp order, else leaf order), its
+// tree's Dump, and the ordinal of the leaf each keys position starts.
+type sharedStore struct {
+	keys, payloads int
+	nodes          []btree.DumpedNode
+	leafAt         map[int]int
 }
 
 // NewSharedCatalog returns an empty catalog.
 func NewSharedCatalog() *SharedCatalog {
 	return &SharedCatalog{
-		tables: make(map[string]*tableData),
-		stats:  make(map[string]*stats.ColumnStats),
-		rows:   make(map[string][]value.Row),
-		rowIdx: make(map[*value.Value]rowRef),
+		tables:    make(map[string]*tableData),
+		stats:     make(map[string]*stats.ColumnStats),
+		tableRefs: make(map[string]sharedStore),
+		indexRefs: make(map[string]sharedStore),
+		lists:     [][]value.Row{nil},
+		rowIdx:    make(map[*value.Value]rowRef),
 	}
 }
 
@@ -69,11 +77,10 @@ func (sc *SharedCatalog) AddTable(def *schema.Table, rows []value.Row) error {
 		t.clustered = btree.New(btree.DefaultOrder)
 	}
 	ords := t.pkOrdinals()
-	for i, row := range rows {
+	for _, row := range rows {
 		if len(row) != len(def.Columns) {
 			return fmt.Errorf("engine: seed row width %d != table width %d", len(row), len(def.Columns))
 		}
-		sc.rowIdx[&row[0]] = rowRef{table: key, idx: i}
 		if t.heap != nil {
 			t.heap.Insert(row)
 			continue
@@ -90,7 +97,10 @@ func (sc *SharedCatalog) AddTable(def *schema.Table, rows []value.Row) error {
 		}
 	}
 	sc.tables[key] = t
-	sc.rows[key] = rows
+	sc.tableRefs[key] = sharedStore{payloads: sc.addList(rows)}
+	if t.clustered != nil {
+		sc.tableRefs[key] = sc.share(t.clustered, sc.tableRefs[key].payloads)
+	}
 	return nil
 }
 
@@ -140,6 +150,7 @@ func (sc *SharedCatalog) AddIndex(def schema.IndexDef) error {
 		})
 	}
 	sc.indexes = append(sc.indexes, ix)
+	sc.indexRefs[strings.ToLower(def.Name)] = sc.share(ix.tree, 0)
 	return nil
 }
 
@@ -153,9 +164,9 @@ func (sc *SharedCatalog) TableDef(name string) *schema.Table {
 	return sc.def(strings.ToLower(name))
 }
 
-// def returns the canonical definition under its exact key; sc may be nil.
+// def returns the canonical definition under its exact key.
 func (sc *SharedCatalog) def(key string) *schema.Table {
-	if sc == nil || sc.tables[key] == nil {
+	if sc.tables[key] == nil {
 		return nil
 	}
 	return sc.tables[key].def
@@ -163,7 +174,7 @@ func (sc *SharedCatalog) def(key string) *schema.Table {
 
 // Rows returns the canonical base rows for a table.
 func (sc *SharedCatalog) Rows(name string) []value.Row {
-	return sc.rows[strings.ToLower(name)]
+	return sc.lists[sc.tableRefs[strings.ToLower(name)].payloads]
 }
 
 // Stats returns the canonical statistics for a column, or nil.
@@ -171,13 +182,59 @@ func (sc *SharedCatalog) Stats(table, column string) *stats.ColumnStats {
 	return sc.stats[statKey(table, column)]
 }
 
-// rowRefOf resolves a row to its catalog position by slice identity.
-func (sc *SharedCatalog) rowRefOf(r value.Row) (rowRef, bool) {
-	if sc == nil || len(r) == 0 {
-		return rowRef{}, false
+// addList registers rows by the identity of their first values.
+func (sc *SharedCatalog) addList(rows []value.Row) int {
+	for i, r := range rows {
+		sc.rowIdx[&r[0]] = rowRef{list: len(sc.lists), idx: i}
+	}
+	sc.lists = append(sc.lists, rows)
+	return len(sc.lists) - 1
+}
+
+// share registers the keys of t, a built tree, and its payloads unless
+// the list payloads already holds them.
+func (sc *SharedCatalog) share(t *btree.Tree, payloads int) sharedStore {
+	st := sharedStore{payloads: payloads, nodes: t.Dump(), leafAt: make(map[int]int)}
+	var keys, rows []value.Row
+	for o, n := range st.nodes {
+		if n.Leaf && len(n.Keys) > 0 {
+			st.leafAt[len(keys)] = o
+			for _, k := range n.Keys {
+				keys = append(keys, value.Row(k))
+			}
+			rows = append(rows, n.Payloads...)
+		}
+	}
+	if st.keys = sc.addList(keys); payloads == 0 {
+		st.payloads = sc.addList(rows)
+	}
+	return st
+}
+
+// refIn returns the position of r in list, one of sc's lists, when r is
+// physically that element: the same first value and length.
+func (sc *SharedCatalog) refIn(list int, r value.Row) (int, bool) {
+	if list == 0 || len(r) == 0 {
+		return 0, false
 	}
 	ref, ok := sc.rowIdx[&r[0]]
-	return ref, ok
+	return ref.idx, ok && ref.list == list && len(sc.lists[list][ref.idx]) == len(r)
+}
+
+// leafOf returns the Dump ordinal of st's leaf that n copies pointer for
+// pointer, found by the identity of n's first key.
+func (sc *SharedCatalog) leafOf(st sharedStore, n btree.DumpedNode) (int, bool) {
+	if !n.Leaf || len(n.Keys) == 0 {
+		return 0, false
+	}
+	idx, ok := sc.refIn(st.keys, value.Row(n.Keys[0]))
+	o, first := st.leafAt[idx]
+	ok = ok && first && len(st.nodes[o].Keys) == len(n.Keys)
+	for i := 0; ok && i < len(n.Keys); i++ { // catalog entries are never empty
+		k, p := st.nodes[o].Keys[i], st.nodes[o].Payloads[i]
+		ok = len(n.Keys[i]) == len(k) && &n.Keys[i][0] == &k[0] && len(n.Payloads[i]) == len(p) && &n.Payloads[i][0] == &p[0]
+	}
+	return o, ok
 }
 
 // Stamp installs every table, index and statistic of sc into d, a new

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 
 	"autoindex/internal/btree"
@@ -22,25 +23,33 @@ func (d *Database) Park() {
 	d.costCache.Reset()
 }
 
-// Row tags in snapshots: a stored row is either written inline, aliased
-// into the shared catalog by stamp-order index, or absent (heap
-// tombstone).
+// Row tags in snapshots: a stored row, tree key or index payload is
+// inline, a position in a catalog list, or absent (heap tombstone).
 const (
 	rowInline = iota
 	rowShared
 	rowNil
 )
 
+// Node tags in snapshots: interior, leaf, or catalog leaf by Dump ordinal.
+const (
+	nodeInterior = iota
+	nodeLeaf
+	nodeShared
+)
+
 // walk is the database's snapshot layout, in deterministic order: the
 // RNG and noise stream positions, the scalar counters, then each map in
-// ascending key order. Rows and objects physically shared with sc (the
-// tenant's archetype catalog) are written as references, which is both
-// the compactness and the re-aliasing half of copy-on-write hibernation;
-// sc may be nil, forcing everything inline. Runtime wiring — clock,
-// config, metrics registry, fault injector, stats hook, bulk sources,
-// lock manager, the Query Store shell — stays resident and is not
-// serialized.
+// ascending key order. Objects, rows, leaves and entries physically
+// shared with sc (the tenant's archetype catalog) are written as
+// references, the compactness and re-aliasing half of copy-on-write
+// hibernation; sc may be nil, forcing everything inline. Runtime wiring
+// — clock, config, metrics registry, fault injector, stats hook, bulk
+// sources, lock manager, the Query Store shell — stays resident.
 func (st *dbState) walk(c snap.Codec, rngPos, noisePos *uint64, sc *SharedCatalog) {
+	if sc == nil {
+		sc = NewSharedCatalog() // nothing to reference
+	}
 	c.Uvarint(rngPos)
 	c.Uvarint(noisePos)
 	c.Varint(&st.dataVersion)
@@ -62,20 +71,17 @@ func (st *dbState) walk(c snap.Codec, rngPos, noisePos *uint64, sc *SharedCatalo
 	})
 	snap.Map(c, &st.indexes, func(c snap.Codec, k *string, ixp **indexData) {
 		c.String(k)
-		walkIndex(c, snap.Ptr(c, ixp), *k, st.tables)
+		walkIndex(c, snap.Ptr(c, ixp), *k, st.tables, sc)
 	})
 	snap.Map(c, &st.colStat, func(c snap.Codec, k *string, sp **stats.ColumnStats) {
 		c.String(k)
-		shared := sc != nil && sc.stats[*k] == *sp // the encoder's answer; decoding reads the flag over it
+		shared := sc.stats[*k] == *sp // the encoder's answer; decoding reads the flag over it
 		c.Bool(&shared)
 		switch {
 		case !shared:
 			snap.Ptr(c, sp).Snap(c)
 		case c.Decoding():
-			if sc != nil {
-				*sp = sc.stats[*k]
-			}
-			if *sp == nil {
+			if *sp = sc.stats[*k]; *sp == nil {
 				c.Reader().Failf("statistics %q reference a shared histogram outside its archetype", *k)
 			}
 		}
@@ -175,19 +181,18 @@ func walkIndexDef(c snap.Codec, def *schema.IndexDef) {
 
 // walkIndex is one secondary index's snapshot body. Key/include ordinals
 // are not written: decoding recomputes them from the definitions, after
-// checking the definition against the (already decoded) tables. Entry
-// keys and payloads are always tenant-private, so the tree is walked
-// with no shared catalog.
-func walkIndex(c snap.Codec, ix *indexData, k string, tables map[string]*tableData) {
+// checking the definition against the (already decoded) tables. Shared
+// entries resolve against the catalog's index of the same name.
+func walkIndex(c snap.Codec, ix *indexData, k string, tables map[string]*tableData, sc *SharedCatalog) {
 	walkIndexDef(c, &ix.def)
 	c.Time(&ix.createdAt)
 	c.Varint(&ix.sizeBytes)
 	if !c.Decoding() {
-		encodeTree(c.Writer(), ix.tree, nil, "")
+		encodeTree(c.Writer(), ix.tree, sc, sc.indexRefs[k])
 		return
 	}
 	r := c.Reader()
-	if ix.tree = decodeTree(r, nil, ""); ix.tree == nil {
+	if ix.tree = decodeTree(r, sc, sc.indexRefs[k]); ix.tree == nil {
 		return
 	}
 	if !strings.EqualFold(ix.def.Name, k) {
@@ -219,15 +224,16 @@ func encodeTable(w *snap.Writer, t *tableData, sc *SharedCatalog, k string) {
 	}
 	w.Varint(t.rowCount)
 	w.Bool(t.clustered != nil)
+	st := sc.tableRefs[k]
 	if t.clustered != nil {
-		encodeTree(w, t.clustered, sc, k)
+		encodeTree(w, t.clustered, sc, st)
 		return
 	}
 	rows, free, rowWidth := t.heap.Dump()
 	w.Uvarint(uint64(rowWidth))
 	w.Uvarint(uint64(len(rows)))
 	for _, row := range rows {
-		encodeRow(w, row, sc, k)
+		encodeRow(w, row, sc, st.payloads)
 	}
 	w.Uvarint(uint64(len(free)))
 	for _, rid := range free {
@@ -256,11 +262,12 @@ func decodeTable(r *snap.Reader, sc *SharedCatalog, k string) *tableData {
 		r.Failf("table key %q names definition %q", k, t.def.Name)
 	}
 	t.rowCount = r.Varint()
+	st := sc.tableRefs[k]
 	if r.Bool() {
 		if len(t.def.PrimaryKey) == 0 {
 			r.Failf("table %q is clustered but has no primary key", k)
 		}
-		if t.clustered = decodeTree(r, sc, k); t.clustered == nil {
+		if t.clustered = decodeTree(r, sc, st); t.clustered == nil {
 			return nil
 		}
 		if int64(t.clustered.Len()) != t.rowCount {
@@ -271,7 +278,7 @@ func decodeTable(r *snap.Reader, sc *SharedCatalog, k string) *tableData {
 	rowWidth := r.Uint()
 	rows := make([]value.Row, r.Len())
 	for j := range rows {
-		rows[j] = decodeRow(r, sc, k)
+		rows[j] = decodeRow(r, sc, st.payloads)
 	}
 	free := make([]storage.RID, r.Len())
 	for j := range free {
@@ -291,37 +298,32 @@ func decodeTable(r *snap.Reader, sc *SharedCatalog, k string) *tableData {
 	return t
 }
 
-// encodeRow writes one stored row, aliasing it into the shared catalog
-// when the slice is physically the catalog's (copy-on-write sharing means
-// most base rows of most tenants hit this path, collapsing snapshot size
-// and rehydrated memory alike).
-func encodeRow(w *snap.Writer, row value.Row, sc *SharedCatalog, tableKey string) {
+// encodeRow writes one stored row, tree key or index payload: as its
+// position in list, one of sc's lists, when the slice is physically
+// there, which copy-on-write sharing makes the common case.
+func encodeRow(w *snap.Writer, row value.Row, sc *SharedCatalog, list int) {
 	if row == nil {
 		w.Uvarint(rowNil)
 		return
 	}
-	if ref, ok := sc.rowRefOf(row); ok && ref.table == tableKey {
+	if idx, ok := sc.refIn(list, row); ok {
 		w.Uvarint(rowShared)
-		w.Uvarint(uint64(ref.idx))
+		w.Uvarint(uint64(idx))
 		return
 	}
 	w.Uvarint(rowInline)
 	w.Row(row)
 }
 
-func decodeRow(r *snap.Reader, sc *SharedCatalog, tableKey string) value.Row {
+func decodeRow(r *snap.Reader, sc *SharedCatalog, list int) value.Row {
 	switch tag := r.Uvarint(); tag {
 	case rowNil:
 	case rowShared:
-		idx := r.Uvarint()
-		var rows []value.Row
-		if sc != nil {
-			rows = sc.rows[tableKey]
-		}
+		idx, rows := r.Uvarint(), sc.lists[list]
 		if idx < uint64(len(rows)) {
 			return rows[idx]
 		}
-		r.Failf("shared row %d/%d for table %q", idx, len(rows), tableKey)
+		r.Failf("shared row %d/%d", idx, len(rows))
 	case rowInline:
 		return r.Row()
 	default:
@@ -331,22 +333,30 @@ func decodeRow(r *snap.Reader, sc *SharedCatalog, tableKey string) value.Row {
 }
 
 // encodeTree writes a B+ tree's exact node structure (deletes never
-// rebalance, so shape is history-dependent and feeds optimizer costs);
-// sc enables shared-row aliasing for clustered base-table payloads and is
-// nil for secondary-index trees, whose entries are always tenant-private.
-func encodeTree(w *snap.Writer, t *btree.Tree, sc *SharedCatalog, tableKey string) {
+// rebalance, so shape is history-dependent and feeds optimizer costs),
+// what it shares with st, the catalog's tree, written as references.
+func encodeTree(w *snap.Writer, t *btree.Tree, sc *SharedCatalog, st sharedStore) {
 	nodes := t.Dump()
 	w.Uvarint(uint64(t.Order()))
 	w.Uvarint(uint64(len(nodes)))
 	for _, n := range nodes {
-		w.Bool(n.Leaf)
+		if o, ok := sc.leafOf(st, n); ok {
+			w.Uvarint(nodeShared)
+			w.Uvarint(uint64(o))
+			continue
+		}
+		if n.Leaf {
+			w.Uvarint(nodeLeaf)
+		} else {
+			w.Uvarint(nodeInterior)
+		}
 		w.Uvarint(uint64(len(n.Keys)))
 		for _, k := range n.Keys {
-			w.Row(value.Row(k))
+			encodeRow(w, value.Row(k), sc, st.keys)
 		}
 		if n.Leaf {
 			for _, p := range n.Payloads {
-				encodeRow(w, p, sc, tableKey)
+				encodeRow(w, p, sc, st.payloads)
 			}
 		} else {
 			w.Uvarint(uint64(len(n.Children)))
@@ -359,20 +369,33 @@ func encodeTree(w *snap.Writer, t *btree.Tree, sc *SharedCatalog, tableKey strin
 
 // decodeTree reads what encodeTree wrote, rebuilds the tree and checks
 // its invariants. It returns nil once r has failed.
-func decodeTree(r *snap.Reader, sc *SharedCatalog, tableKey string) *btree.Tree {
+func decodeTree(r *snap.Reader, sc *SharedCatalog, st sharedStore) *btree.Tree {
 	order := r.Uint()
 	nodes := make([]btree.DumpedNode, r.Len())
 	for i := range nodes {
 		n := &nodes[i]
-		n.Leaf = r.Bool()
+		switch tag := r.Uvarint(); tag {
+		case nodeShared: // copies of the catalog leaf's arrays: node arrays stay the tenant's own
+			if o := r.Uvarint(); o < uint64(len(st.nodes)) && st.nodes[o].Leaf {
+				n.Leaf, n.Keys, n.Payloads = true, slices.Clone(st.nodes[o].Keys), slices.Clone(st.nodes[o].Payloads)
+			} else {
+				r.Failf("shared leaf %d is not a leaf of the catalog's %d nodes", o, len(st.nodes))
+			}
+			continue
+		case nodeLeaf, nodeInterior:
+			n.Leaf = tag == nodeLeaf
+		default:
+			r.Failf("unknown node tag %d", tag)
+			continue
+		}
 		n.Keys = make([]value.Key, r.Len())
 		for j := range n.Keys {
-			n.Keys[j] = value.Key(r.Row())
+			n.Keys[j] = value.Key(decodeRow(r, sc, st.keys))
 		}
 		if n.Leaf {
 			n.Payloads = make([]value.Row, len(n.Keys))
 			for j := range n.Payloads {
-				n.Payloads[j] = decodeRow(r, sc, tableKey)
+				n.Payloads[j] = decodeRow(r, sc, st.payloads)
 			}
 			continue
 		}

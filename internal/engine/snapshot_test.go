@@ -3,9 +3,11 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"autoindex/internal/btree"
 	"autoindex/internal/schema"
 	"autoindex/internal/sim"
 	"autoindex/internal/snap"
@@ -157,9 +159,10 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 		w.Uvarint(0) // free list
 	}
 	leaf := func(w *snap.Writer, keys ...int64) {
-		w.Bool(true)
+		w.Uvarint(nodeLeaf)
 		w.Uvarint(uint64(len(keys)))
 		for _, k := range keys {
+			w.Uvarint(rowInline)
 			w.Row(value.Row{value.NewInt(k)})
 		}
 		for range keys {
@@ -167,10 +170,38 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 			w.Row(row)
 		}
 	}
-	table := func(r *snap.Reader) { decodeTable(r, nil, "t") }
-	tree := func(r *snap.Reader) { decodeTree(r, nil, "t") }
+	table := func(r *snap.Reader) { decodeTable(r, NewSharedCatalog(), "t") }
+	tree := func(r *snap.Reader) { decodeTree(r, NewSharedCatalog(), sharedStore{}) }
 	index := func(r *snap.Reader) {
-		walkIndex(snap.Decoder(r), &indexData{}, "ix", map[string]*tableData{"t": {def: heapDef}})
+		walkIndex(snap.Decoder(r), &indexData{}, "ix", map[string]*tableData{"t": {def: heapDef}}, NewSharedCatalog())
+	}
+	// A catalog whose clustered tree of t is one interior node over two
+	// leaves, so its Dump has ordinals 0 (interior), 1 and 2 (leaves).
+	var pkRows []value.Row
+	for i := range btree.DefaultOrder {
+		pkRows = append(pkRows, value.Row{value.NewInt(int64(i))})
+	}
+	pkCatalog := sharedCatalogFor(pkDef, pkRows...)
+	catalogTree := func(r *snap.Reader) { decodeTree(r, pkCatalog, pkCatalog.tableRefs["t"]) }
+	sharedLeaf := func(o uint64) func(w *snap.Writer) {
+		return func(w *snap.Writer) {
+			w.Uvarint(64)
+			w.Uvarint(1)
+			w.Uvarint(nodeShared)
+			w.Uvarint(o)
+		}
+	}
+	sharedKey := func(idx uint64) func(w *snap.Writer) {
+		return func(w *snap.Writer) {
+			w.Uvarint(64)
+			w.Uvarint(1)
+			w.Uvarint(nodeLeaf)
+			w.Uvarint(1)
+			w.Uvarint(rowShared)
+			w.Uvarint(idx)
+			w.Uvarint(rowInline)
+			w.Row(row)
+		}
 	}
 	indexBody := func(w *snap.Writer, def schema.IndexDef) {
 		walkIndexDef(snap.Encoder(w), &def)
@@ -181,6 +212,28 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 		leaf(w)
 	}
 
+	// The database walk with no catalog (sc == nil), up to a clustered
+	// table t whose tree is shared.
+	uncataloged := func(tree func(w *snap.Writer)) func(w *snap.Writer) {
+		return func(w *snap.Writer) {
+			for i := 0; i < 7; i++ {
+				w.Uvarint(0)
+			}
+			w.Uvarint(0) // statistics versions
+			w.Uvarint(1) // tables
+			w.String("t")
+			tableDef(w, pkDef)
+			w.Varint(1)
+			w.Bool(true)
+			tree(w)
+		}
+	}
+	walk := func(r *snap.Reader) {
+		var st dbState
+		var rngPos, noisePos uint64
+		st.walk(snap.Decoder(r), &rngPos, &noisePos, nil)
+	}
+
 	cases := []struct {
 		name   string
 		build  func(w *snap.Writer)
@@ -188,15 +241,24 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 		want   string
 	}{
 		{"unknown row tag", func(w *snap.Writer) { w.Uvarint(3) },
-			func(r *snap.Reader) { decodeRow(r, nil, "t") }, "unknown row tag"},
+			func(r *snap.Reader) { decodeRow(r, NewSharedCatalog(), 0) }, "unknown row tag"},
 		{"shared row without a catalog", func(w *snap.Writer) { w.Uvarint(rowShared); w.Uvarint(0) },
-			func(r *snap.Reader) { decodeRow(r, nil, "t") }, "shared row 0/0"},
+			func(r *snap.Reader) { decodeRow(r, NewSharedCatalog(), 0) }, "shared row 0/0"},
 		{"shared row past the catalog", func(w *snap.Writer) { w.Uvarint(rowShared); w.Uvarint(1) },
-			func(r *snap.Reader) { decodeRow(r, sharedCatalogFor(heapDef, row), "t") }, "shared row 1/1"},
+			func(r *snap.Reader) {
+				sc := sharedCatalogFor(heapDef, row)
+				decodeRow(r, sc, sc.tableRefs["t"].payloads)
+			}, "shared row 1/1"},
+		{"unknown node tag", func(w *snap.Writer) { w.Uvarint(64); w.Uvarint(1); w.Uvarint(3) }, tree, "unknown node tag 3"},
+		{"shared leaf without a catalog", uncataloged(sharedLeaf(0)), walk, "shared leaf 0 is not a leaf of the catalog's 0 nodes"},
+		{"shared leaf past the catalog", sharedLeaf(3), catalogTree, "shared leaf 3 is not a leaf of the catalog's 3 nodes"},
+		{"shared leaf naming an interior node", sharedLeaf(0), catalogTree, "shared leaf 0 is not a leaf of the catalog's 3 nodes"},
+		{"shared key without a catalog", uncataloged(sharedKey(0)), walk, "shared row 0/0"},
+		{"shared key past the catalog", sharedKey(btree.DefaultOrder), catalogTree, fmt.Sprintf("shared row %d/%d", btree.DefaultOrder, btree.DefaultOrder)},
 		{"tree child out of range", func(w *snap.Writer) {
 			w.Uvarint(64)
 			w.Uvarint(1)
-			w.Bool(false)
+			w.Uvarint(nodeInterior)
 			w.Uvarint(0)
 			w.Uvarint(1)
 			w.Uvarint(5)
@@ -266,11 +328,7 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 			w.Varint(1)
 			w.String("t.a")
 			w.Varint(2)
-		}, func(r *snap.Reader) {
-			var st dbState
-			var rngPos, noisePos uint64
-			st.walk(snap.Decoder(r), &rngPos, &noisePos, nil)
-		}, "duplicate map key t.a"},
+		}, walk, "duplicate map key t.a"},
 	}
 	for _, tc := range cases {
 		var w snap.Writer

@@ -123,9 +123,9 @@ func TestFleetOutputsFrozen(t *testing.T) {
 		{"ops", func() string { return frozenOps(t, off, false) }, 0x1e1b736cedaf5db9},
 		{"ops/chaos", func() string { return frozenOps(t, on, false) }, 0x8a0dfa823e4a430e},
 		{"ops/audit", func() string { return frozenOps(t, off, true) }, 0xb0c42534abb0f854},
-		{"scale/cap4", func() string { return frozenScale(t, 4, off) }, 0xf536a58f231a114b},
+		{"scale/cap4", func() string { return frozenScale(t, 4, off) }, 0x0cdae00bd289a3f7},
 		{"scale/cap0", func() string { return frozenScale(t, 0, off) }, 0x276bff2f5bc0a31c},
-		{"scale/cap4/chaos", func() string { return frozenScale(t, 4, on) }, 0xf365e1bc1d17cbc1},
+		{"scale/cap4/chaos", func() string { return frozenScale(t, 4, on) }, 0xbb509ff8c40df0a3},
 		{"scale/cap0/chaos", func() string { return frozenScale(t, 0, on) }, 0xde7a806752d8f4bf},
 	} {
 		h := fnv.New64a()

@@ -13,12 +13,12 @@ import (
 // A hibernated tenant is one sealed snap envelope (magic + version +
 // length + checksum + body) holding the tenant's workload state (RNG
 // position, id streams) and the full engine snapshot (schema, storage,
-// indexes, statistics, query store, DMVs — with rows and definitions the
-// tenant still shares with its archetype written as references, not
-// values). The Tenant and Database shells stay resident, so every pointer
-// the control plane, chaos harness or bulk-feed machinery holds into the
-// tenant remains valid across a hibernate/rehydrate cycle; only the heavy
-// interior state is dropped and rebuilt.
+// indexes, statistics, query store, DMVs — with definitions, rows, tree
+// leaves and index entries the tenant still shares with its archetype
+// written as references, not values). The Tenant and Database shells
+// stay resident, so every pointer the control plane, chaos harness or
+// bulk-feed machinery holds into the tenant remains valid across a
+// hibernate/rehydrate cycle; only the heavy interior state is rebuilt.
 //
 // Hibernation happens only at hour barriers, after the engine has been
 // parked (Database.Park) — the plan-cost cache is empty, every lock lease

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"autoindex/internal/sim"
+	"autoindex/internal/snap"
 	"autoindex/internal/workload"
 )
 
@@ -58,6 +59,12 @@ func fuzzTenant(arch *workload.Archetype) (*workload.Tenant, *sim.VirtualClock, 
 	return tn, clock, err
 }
 
+// garbageLength is a current envelope header whose body-length varint
+// runs past the end of the input: a length lie, not a version mismatch.
+func garbageLength() []byte {
+	return append([]byte(snap.Magic), snap.Version, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)
+}
+
 // FuzzHibernateDecode fuzzes the hibernation decode path: whatever bytes
 // arrive — a valid snapshot, a truncated one, a bit-flipped one, or pure
 // garbage — rehydrateTenant must either succeed or return an error.
@@ -74,8 +81,7 @@ func FuzzHibernateDecode(f *testing.F) {
 	f.Add(valid[:4])            // magic only
 	f.Add(valid[:len(valid)/2]) // truncated body
 	f.Add(valid[:len(valid)-2]) // truncated checksum
-	garbage := []byte("AXSN\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff")
-	f.Add(garbage)
+	f.Add(garbageLength())
 	for _, at := range []int{5, len(valid) / 3, len(valid) - 5} {
 		flipped := append([]byte(nil), valid...)
 		flipped[at] ^= 0x40

@@ -33,7 +33,7 @@ const Magic = "AXSN"
 
 // Version is the current snapshot format version. Decoders reject other
 // versions rather than guessing at field layouts.
-const Version = 1
+const Version = 2
 
 // ErrCorrupt is the sentinel wrapped by every decode failure; callers
 // test with errors.Is.

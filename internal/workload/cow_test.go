@@ -11,6 +11,7 @@ import (
 	"autoindex/internal/engine"
 	"autoindex/internal/schema"
 	"autoindex/internal/sim"
+	"autoindex/internal/snap"
 	"autoindex/internal/value"
 )
 
@@ -261,11 +262,31 @@ func TestCOWStampedTreesMatchAFreshBuild(t *testing.T) {
 	}
 }
 
+// rehydrate hibernates tn and brings it back in place.
+func rehydrate(t *testing.T, tn *Tenant) {
+	t.Helper()
+	blob := sealedTenant(tn)
+	tn.Release()
+	r, err := snap.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tn.DecodeFrom(r); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCOWIndexEntriesSharedNodesPrivate: siblings share every tree entry —
 // key and payload backing arrays are the same by pointer — while every
-// node's keys and payloads arrays are each sibling's own.
+// node's keys and payloads arrays are each sibling's own. Two of the
+// siblings have been hibernated and rehydrated: a snapshot writes their
+// entries as catalog references and their leaves as catalog leaves, so
+// rehydration must restore the shared entries and copy the arrays; had
+// it aliased the catalog's arrays, the two would share them.
 func TestCOWIndexEntriesSharedNodesPrivate(t *testing.T) {
 	arch, sibs := stampSiblings(t, 3)
+	rehydrate(t, sibs[1])
+	rehydrate(t, sibs[2])
 	var trees [][2]string // (table, index)
 	for _, ts := range arch.Tables {
 		trees = append(trees, [2]string{ts.Name, ""})
@@ -277,19 +298,20 @@ func TestCOWIndexEntriesSharedNodesPrivate(t *testing.T) {
 		if sibs[0].DB.Tree(tr[0], tr[1]) == nil {
 			continue // a heap table
 		}
-		base := sibs[0].DB.Tree(tr[0], tr[1]).Dump()
-		for i, tn := range sibs[1:] {
+		for _, pair := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
+			other, tn := pair[0], sibs[pair[1]]
+			base := sibs[other].DB.Tree(tr[0], tr[1]).Dump()
 			for n, node := range tn.DB.Tree(tr[0], tr[1]).Dump() {
 				b := base[n]
 				if len(node.Keys) > 0 && &node.Keys[0] == &b.Keys[0] {
-					t.Fatalf("sibling %d: tree %v node %d shares its keys array", i+1, tr, n)
+					t.Fatalf("%s: tree %v node %d shares its keys array with sibling %d", tn.DB.Name(), tr, n, other)
 				}
 				if len(node.Payloads) > 0 && &node.Payloads[0] == &b.Payloads[0] {
-					t.Fatalf("sibling %d: tree %v node %d shares its payloads array", i+1, tr, n)
+					t.Fatalf("%s: tree %v node %d shares its payloads array with sibling %d", tn.DB.Name(), tr, n, other)
 				}
 				for j, k := range node.Keys {
 					if &k[0] != &b.Keys[j][0] || (node.Leaf && &node.Payloads[j][0] != &b.Payloads[j][0]) {
-						t.Fatalf("sibling %d: tree %v node %d entry %d is a copy, want shared", i+1, tr, n, j)
+						t.Fatalf("%s: tree %v node %d entry %d is a copy, want shared", tn.DB.Name(), tr, n, j)
 					}
 				}
 			}
@@ -364,7 +386,9 @@ func twoValues(t *testing.T, arch *Archetype, table, col string) (from, to value
 // through a fresh stamp) are Dump-identical to before; and a probe
 // INSERT into every table of a sibling then gives the same trees as on a
 // control sibling probed before the change, so no index metadata (its
-// definition and column ordinals) was shared either.
+// definition and column ordinals) was shared either. The battery runs
+// twice: on a fresh stamp, and on one hibernated and rehydrated first,
+// whose leaves and entries come back aliased to the catalog.
 func TestCOWWritesStayPrivate(t *testing.T) {
 	arch, _ := stampSiblings(t, 0)
 	exec := func(sqls ...string) func(*Tenant) error {
@@ -436,31 +460,39 @@ func TestCOWWritesStayPrivate(t *testing.T) {
 		}
 		return tn
 	}
-	for _, c := range changes {
-		sibs := []*Tenant{stamp("cow00"), stamp("cow01"), stamp("cow02")}
-		control := stamp("cowctl")
-		base := cowState(t, sibs[1])
-		if err := insertCopies(control, arch, 1<<46); err != nil {
-			t.Fatal(err)
-		}
-		probed := cowState(t, control)
-		if err := c.apply(sibs[0]); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if cowState(t, sibs[0]) == base {
-			t.Fatalf("%s changed nothing on the sibling it ran on", c.name)
-		}
-		if cowState(t, sibs[1]) != base || cowState(t, sibs[2]) != base {
-			t.Errorf("%s on sibling 0 changed another sibling", c.name)
-		}
-		if cowState(t, stamp("cowfresh")) != base {
-			t.Errorf("%s on sibling 0 changed the catalog", c.name)
-		}
-		if err := insertCopies(sibs[2], arch, 1<<46); err != nil {
-			t.Fatal(err)
-		}
-		if cowState(t, sibs[2]) != probed {
-			t.Errorf("after %s on sibling 0, a write to sibling 2 differs from the same write before it", c.name)
+	for _, rehydrated := range []bool{false, true} {
+		for _, c := range changes {
+			sibs := []*Tenant{stamp("cow00"), stamp("cow01"), stamp("cow02")}
+			control := stamp("cowctl")
+			base := cowState(t, sibs[1])
+			if rehydrated {
+				c.name += " after a rehydrate"
+				if rehydrate(t, sibs[0]); cowState(t, sibs[0]) != base {
+					t.Fatalf("%s: the rehydrated sibling differs from its stamp", c.name)
+				}
+			}
+			if err := insertCopies(control, arch, 1<<46); err != nil {
+				t.Fatal(err)
+			}
+			probed := cowState(t, control)
+			if err := c.apply(sibs[0]); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if cowState(t, sibs[0]) == base {
+				t.Fatalf("%s changed nothing on the sibling it ran on", c.name)
+			}
+			if cowState(t, sibs[1]) != base || cowState(t, sibs[2]) != base {
+				t.Errorf("%s on sibling 0 changed another sibling", c.name)
+			}
+			if cowState(t, stamp("cowfresh")) != base {
+				t.Errorf("%s on sibling 0 changed the catalog", c.name)
+			}
+			if err := insertCopies(sibs[2], arch, 1<<46); err != nil {
+				t.Fatal(err)
+			}
+			if cowState(t, sibs[2]) != probed {
+				t.Errorf("after %s on sibling 0, a write to sibling 2 differs from the same write before it", c.name)
+			}
 		}
 	}
 }
