@@ -23,6 +23,7 @@ var fixtureOverrides = map[string]struct {
 	"wallclock_wire.go":           {pkgPath: "autoindex/internal/wire"},
 	"wallclock_serve.go":          {pkgPath: "autoindex/internal/serve"},
 	"wallclock_testfile.go":       {asTest: true},
+	"lockdiscipline_testfile.go":  {asTest: true},
 	"metricsdiscipline_timing.go": {asTest: true},
 	"detflow_capture.go":          {pkgPath: "autoindex/internal/serve"},
 	"leakcheck_serve.go":          {pkgPath: "autoindex/internal/serve"},

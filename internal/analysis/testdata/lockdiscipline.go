@@ -146,3 +146,73 @@ func interleaved(t *twoLocks) {
 	t.b.Unlock()
 	t.a.Unlock()
 }
+
+// twoInstances locks the same field of two values of one type. The
+// receivers render differently, so lockdiscipline sees two mutexes, and
+// lockorder's per-field identity never orders a lock after itself: no
+// diagnostic from either lock check.
+func twoInstances(a, b *guarded) {
+	a.mu.Lock()
+	b.mu.Lock()
+	a.n += b.n
+	b.mu.Unlock()
+	a.mu.Unlock()
+}
+
+// switchNoDefault: every case locks, but a switch without a default
+// may match nothing. The merge keeps that unlocked entry state, so the
+// Lock after the switch is not reported (the walk under-reports).
+func switchNoDefault(g *guarded, k int) {
+	switch k {
+	case 0:
+		g.mu.Lock()
+	case 1:
+		g.mu.Lock()
+	}
+	g.mu.Lock()
+	g.mu.Unlock()
+}
+
+// switchDefault: with a default every path through the switch locks,
+// so the Lock after it deadlocks.
+func switchDefault(g *guarded, k int) {
+	switch k {
+	case 0:
+		g.mu.Lock()
+	default:
+		g.mu.Lock()
+	}
+	g.mu.Lock() // want "lockdiscipline: Lock of g.mu while already held on this path"
+	g.mu.Unlock()
+	g.mu.Unlock()
+}
+
+// selectAllUnlock: a select always runs exactly one clause, and every
+// clause unlocks, so the re-lock after it is fine: no diagnostic.
+func selectAllUnlock(g *guarded, a, b chan int) {
+	g.mu.Lock()
+	select {
+	case <-a:
+		g.mu.Unlock()
+	case <-b:
+		g.mu.Unlock()
+	}
+	g.mu.Lock()
+	g.mu.Unlock()
+}
+
+// selectKeeps: the clause that unlocks also returns, so it contributes
+// nothing to the merge and the fall-through path still holds the lock.
+func selectKeeps(g *guarded, a, b chan int) {
+	g.mu.Lock()
+	select {
+	case <-a:
+		g.n++
+	case <-b:
+		g.mu.Unlock()
+		return
+	}
+	g.mu.Lock() // want "lockdiscipline: Lock of g.mu while already held on this path"
+	g.mu.Unlock()
+	g.mu.Unlock()
+}

@@ -12,3 +12,11 @@ import "time"
 func simWallNow() time.Time {
 	return time.Now()
 }
+
+// simWall stands in for sim.WallClock. A sim.Clock.Now call resolves
+// here by interface dispatch, and internal/sim's taint barrier keeps
+// this time.Now from flowing back out (see emitVirtualNow in
+// detflow_capture.go).
+type simWall struct{}
+
+func (simWall) Now() time.Time { return time.Now() }
