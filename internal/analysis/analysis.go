@@ -1,7 +1,8 @@
 // Package analysis is the repo's determinism-and-correctness linter: a
-// small, self-contained static-analysis framework plus five analyzers
+// small, self-contained static-analysis framework plus eight analyzers
 // that encode bug classes this codebase has actually shipped and then
-// had to hunt down by hand.
+// had to hunt down by hand. Every analyzer runs once over one
+// whole-module Program: its units, its functions and their call graph.
 //
 // The fleet simulation promises byte-identical output for a given seed
 // at any worker count. That promise has been broken twice:
@@ -17,11 +18,13 @@
 //
 // Both classes are mechanically detectable, so this package detects
 // them mechanically — the same move production systems make with
-// `go vet`-style analyzers — along with three neighbours: wall-clock
+// `go vet`-style analyzers — along with their neighbours: wall-clock
 // and global-RNG calls that bypass internal/sim (the root cause of
-// nondeterministic timestamps), sloppy mutex discipline, and
-// observability-layer violations (runtime metric registration,
-// wall-clock-timed metrics and spans; see metricsdiscipline.go).
+// nondeterministic timestamps), sloppy mutex discipline and lock-order
+// deadlocks, observability-layer violations (runtime metric
+// registration, wall-clock-timed metrics and spans; see
+// metricsdiscipline.go), nondeterminism flowing across calls into
+// deterministic output, and goroutines the serving path cannot join.
 //
 // The framework deliberately uses only the standard library
 // (go/parser, go/ast, go/types, go/importer); there is no dependency
@@ -42,9 +45,7 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
@@ -61,60 +62,51 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// An Analyzer is one named check. Per-function analyzers set Run and
-// see one type-checked unit at a time; interprocedural analyzers set
-// RunProgram instead and see the whole module at once (call graph +
-// fact store, see callgraph.go / interproc.go). Exactly one of Run and
-// RunProgram is non-nil.
+// An Analyzer is one named check. Every check runs once over the
+// whole module (see Pass): a check that looks at files iterates
+// Prog.Units, so it also sees package-level initializers; a check that
+// looks at functions iterates Prog.Nodes; the interprocedural checks
+// (lockorder, detflow, leakcheck) also follow Prog's call graph.
 type Analyzer struct {
 	// Name is the check name used in diagnostics, //lint:ignore
 	// directives, and the cmd/lint -checks filter.
 	Name string
 	// Doc is a one-line description shown by cmd/lint -help.
 	Doc string
-	// SkipTests excludes _test.go files from this check. The wallclock
-	// analyzer sets it: tests legitimately sleep to coordinate real
-	// goroutines, and test wall-time never feeds simulation output.
-	// Interprocedural analyzers honor it per function node: test-file
-	// functions still contribute call-graph edges and facts, but never
-	// diagnostics.
+	// SkipTests drops this check's diagnostics in _test.go files. The
+	// wallclock analyzer sets it: tests legitimately sleep to
+	// coordinate real goroutines, and test wall-time never feeds
+	// simulation output. Test-file functions still contribute
+	// call-graph edges to every check.
 	SkipTests bool
-	// Run inspects the unit and reports findings through the pass.
+	// Run inspects the module and reports findings through the pass.
 	Run func(*Pass)
-	// RunProgram inspects the whole module at once.
-	RunProgram func(*ProgramPass)
 }
 
-// A Pass carries one analyzer's view of one type-checked unit.
+// A Pass carries one analyzer's view of the whole module.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Files are the unit's syntax trees. When the analyzer sets
-	// SkipTests, _test.go files are already filtered out.
-	Files []*ast.File
-	// PkgPath is the unit's import path (the wallclock analyzer keys
-	// its internal/sim exemption off it).
-	PkgPath string
-	Pkg     *types.Package
-	Info    *types.Info
+	Prog     *Program
 
 	diags *[]Diagnostic
+	skip  map[*token.File]bool // test files, when the analyzer skips them
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	if p.skip[p.Prog.Fset.File(pos)] {
+		return
+	}
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:     p.Fset.Position(pos),
+		Pos:     p.Prog.Fset.Position(pos),
 		Check:   p.Analyzer.Name,
 		Message: fmt.Sprintf(format, args...),
 	})
 }
 
-// TypeOf returns the type of e, or nil if unknown.
-func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
-
-// Analyzers returns the full suite in stable order: the five
-// per-function passes, then the three interprocedural passes.
+// Analyzers returns the full suite in stable order: the five checks
+// that look at one function or file at a time, then the three that
+// follow the call graph.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MapOrderAnalyzer,
@@ -138,70 +130,34 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// Run applies the analyzers to every unit, filters the results through
-// //lint:ignore directives, and returns the surviving diagnostics in
-// (file, line, col, check) order. Malformed directives are reported as
-// diagnostics of the pseudo-check "directive", which cannot be
-// suppressed.
+// Run builds the whole-module program over units once, applies the
+// analyzers to it, filters the results through //lint:ignore
+// directives, and returns the surviving diagnostics in (file, line,
+// col, check) order. Malformed directives are reported as diagnostics
+// of the pseudo-check "directive", which cannot be suppressed.
 func Run(units []*Unit, analyzers []*Analyzer) []Diagnostic {
-	var perUnit, perProgram []*Analyzer
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			perProgram = append(perProgram, a)
-		} else {
-			perUnit = append(perUnit, a)
+	var diags, found []Diagnostic
+	var ignores []Ignore
+	testFiles := make(map[*token.File]bool)
+	for _, u := range units {
+		igs, bad := collectIgnores(u.Fset, u.Files)
+		diags = append(diags, bad...)
+		ignores = append(ignores, igs...)
+		for f := range u.TestFiles {
+			testFiles[u.Fset.File(f.Pos())] = true
 		}
 	}
-
-	var diags []Diagnostic
-	var allIgnores []Ignore
-	for _, u := range units {
-		ignores, bad := collectIgnores(u.Fset, u.Files)
-		diags = append(diags, bad...)
-		allIgnores = append(allIgnores, ignores...)
-
-		var unitDiags []Diagnostic
-		for _, a := range perUnit {
-			files := u.Files
+	if len(units) > 0 {
+		prog := BuildProgram(units)
+		for _, a := range analyzers {
+			pass := &Pass{Analyzer: a, Prog: prog, diags: &found}
 			if a.SkipTests {
-				files = nil
-				for _, f := range u.Files {
-					if !u.TestFiles[f] {
-						files = append(files, f)
-					}
-				}
-			}
-			if len(files) == 0 {
-				continue
-			}
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     u.Fset,
-				Files:    files,
-				PkgPath:  u.Path,
-				Pkg:      u.Pkg,
-				Info:     u.Info,
-				diags:    &unitDiags,
+				pass.skip = testFiles
 			}
 			a.Run(pass)
 		}
-		diags = append(diags, filterIgnored(unitDiags, ignores)...)
 	}
-
-	if len(perProgram) > 0 && len(units) > 0 {
-		prog := BuildProgram(units)
-		var progDiags []Diagnostic
-		for _, a := range perProgram {
-			pass := &ProgramPass{
-				Analyzer: a,
-				Prog:     prog,
-				Facts:    NewFactStore(),
-				diags:    &progDiags,
-			}
-			a.RunProgram(pass)
-		}
-		diags = append(diags, filterIgnored(progDiags, allIgnores)...)
-	}
+	diags = append(diags, filterIgnored(found, ignores)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // pkgFunc resolves a call of the form pkg.Fn where pkg is an imported
@@ -92,18 +93,45 @@ func exprMentions(e ast.Expr, target string) bool {
 	return found
 }
 
-// funcBodies calls fn for every function body in file, both
-// declarations and literals.
-func funcBodies(file *ast.File, fn func(body *ast.BlockStmt)) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.FuncDecl:
-			if d.Body != nil {
-				fn(d.Body)
-			}
-		case *ast.FuncLit:
-			fn(d.Body)
+// rootIdent strips selectors, indexing, slicing, derefs, and parens
+// down to the root identifier of an assignable expression
+// (s.a[i].b → s), or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return nil
 		}
-		return true
-	})
+	}
+}
+
+// inPkg reports whether the package or unit path (external test units
+// carry a ".test" suffix) is one of suffixes or ends in /suffix.
+func inPkg(path string, suffixes ...string) bool {
+	path = strings.TrimSuffix(path, ".test")
+	for _, s := range suffixes {
+		if path == s || strings.HasSuffix(path, "/"+s) {
+			return true
+		}
+	}
+	return false
+}
+
+// isSimWallClock reports whether t is sim.WallClock (or a pointer to
+// it) from this module's simulation substrate.
+func isSimWallClock(t types.Type) bool {
+	name, pkg := namedOwner(t)
+	return name == "WallClock" && inPkg(pkg, simPkgSuffix)
 }

@@ -343,20 +343,7 @@ func (l *Loader) loadDirUnits(dir string) ([]*Unit, error) {
 			return nil, fmt.Errorf("analysis: %s: %w", path, err)
 		}
 		augmented = pkg
-		analyzedBase, analyzedTest := dropGenerated(base), dropGenerated(inTest)
-		u := &Unit{
-			Path:      path,
-			Dir:       dir,
-			Fset:      l.fset,
-			Files:     append(append([]*ast.File(nil), analyzedBase...), analyzedTest...),
-			TestFiles: make(map[*ast.File]bool, len(analyzedTest)),
-			Pkg:       pkg,
-			Info:      info,
-		}
-		for _, f := range analyzedTest {
-			u.TestFiles[f] = true
-		}
-		units = append(units, u)
+		units = append(units, l.newUnit(path, dir, pkg, info, base, inTest))
 	}
 
 	if len(extTest) > 0 {
@@ -377,22 +364,28 @@ func (l *Loader) loadDirUnits(dir string) ([]*Unit, error) {
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %s [external test]: %w", path, err)
 		}
-		analyzedExt := dropGenerated(extTest)
-		u := &Unit{
-			Path:      path + ".test",
-			Dir:       dir,
-			Fset:      l.fset,
-			Files:     append([]*ast.File(nil), analyzedExt...),
-			TestFiles: make(map[*ast.File]bool, len(analyzedExt)),
-			Pkg:       pkg,
-			Info:      info,
-		}
-		for _, f := range analyzedExt {
-			u.TestFiles[f] = true
-		}
-		units = append(units, u)
+		units = append(units, l.newUnit(path+".test", dir, pkg, info, nil, extTest))
 	}
 	return units, nil
+}
+
+// newUnit assembles a unit from its type-checked non-test and test
+// files, leaving generated files out of the analyzed set.
+func (l *Loader) newUnit(path, dir string, pkg *types.Package, info *types.Info, base, tests []*ast.File) *Unit {
+	base, tests = dropGenerated(base), dropGenerated(tests)
+	u := &Unit{
+		Path:      path,
+		Dir:       dir,
+		Fset:      l.fset,
+		Files:     append(append([]*ast.File(nil), base...), tests...),
+		TestFiles: make(map[*ast.File]bool, len(tests)),
+		Pkg:       pkg,
+		Info:      info,
+	}
+	for _, f := range tests {
+		u.TestFiles[f] = true
+	}
+	return u
 }
 
 func (l *Loader) importPathFor(dir string) string {

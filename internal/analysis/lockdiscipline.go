@@ -18,9 +18,11 @@ import (
 //     branch-aware: a branch that unlocks-and-returns does not
 //     release the fall-through path).
 //
-// The path scan is deliberately conservative: held-sets merge by
-// intersection across branches, so it under-reports rather than
-// false-positives.
+// Rule 3 reads the re-locks that lockorder's held-lock walk records
+// (lockSummary), keyed by the rendered receiver, so the same field of
+// two values of one type never collides. The walk is deliberately
+// conservative: held-sets merge by intersection across branches, so it
+// under-reports rather than false-positives.
 var LockDisciplineAnalyzer = &Analyzer{
 	Name: "lockdiscipline",
 	Doc:  "mutex copied by value, Lock without same-function Unlock, or double-lock on one path",
@@ -28,77 +30,65 @@ var LockDisciplineAnalyzer = &Analyzer{
 }
 
 func runLockDiscipline(pass *Pass) {
-	for _, file := range pass.Files {
-		checkLockCopies(pass, file)
-		funcBodies(file, func(body *ast.BlockStmt) {
-			checkLockPairing(pass, body)
-			sc := &lockScanner{pass: pass}
-			sc.scanStmts(body.List, map[string]token.Position{})
-		})
+	for _, u := range pass.Prog.Units {
+		for _, f := range u.Files {
+			checkLockCopies(pass, u.Info, f)
+		}
+	}
+	for _, n := range pass.Prog.Nodes {
+		checkLockPairing(pass, n)
+		for _, r := range pass.Prog.lockSummary(n).relocks {
+			pass.Reportf(r.pos, "Lock of %s while already held on this path (locked at line %d); this deadlocks",
+				r.recv, pass.Prog.Fset.Position(r.held).Line)
+		}
 	}
 }
 
 // --- mutex operations -------------------------------------------------
 
-// mutexOp classifies a call as a sync.Mutex/RWMutex method invocation.
-type mutexOp struct {
-	key     string // rendered receiver, e.g. "lm.mu" or "h" (embedded)
-	name    string // Lock, Unlock, RLock, RUnlock
-	write   bool   // Lock/Unlock (vs RLock/RUnlock)
-	acquire bool   // Lock/RLock
-	pos     token.Pos
-}
-
-func asMutexOp(pass *Pass, call *ast.CallExpr) (mutexOp, bool) {
-	fn, sel := methodOf(pass.Info, call)
+// mutexCall classifies call as a Lock, Unlock, RLock or RUnlock of a
+// sync.Mutex or sync.RWMutex (including promotions through embedding).
+// It returns the receiver expression, whether the call is write-mode
+// (Lock/Unlock rather than RLock/RUnlock), and whether it acquires.
+// TryLock and the rest are not classified: their failure is
+// observable, so there is no discipline to enforce.
+func mutexCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, write, acquire, ok bool) {
+	fn, sel := methodOf(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return mutexOp{}, false
+		return nil, false, false, false
 	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return mutexOp{}, false
+	if owner, _ := namedOwner(fn.Type().(*types.Signature).Recv().Type()); owner != "Mutex" && owner != "RWMutex" {
+		return nil, false, false, false
 	}
-	rt := recv.Type()
-	if p, ok := rt.(*types.Pointer); ok {
-		rt = p.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	if !ok {
-		return mutexOp{}, false
-	}
-	if n := named.Obj().Name(); n != "Mutex" && n != "RWMutex" {
-		return mutexOp{}, false
-	}
-	op := mutexOp{key: types.ExprString(sel.X), name: fn.Name(), pos: call.Pos()}
 	switch fn.Name() {
 	case "Lock":
-		op.write, op.acquire = true, true
+		write, acquire = true, true
 	case "Unlock":
-		op.write = true
+		write = true
 	case "RLock":
-		op.acquire = true
+		acquire = true
 	case "RUnlock":
 	default:
-		return mutexOp{}, false // TryLock et al: failure is observable, no discipline to enforce
+		return nil, false, false, false
 	}
-	return op, true
+	return sel.X, write, acquire, true
 }
 
 // --- rule 1: copies ---------------------------------------------------
 
-func checkLockCopies(pass *Pass, file *ast.File) {
+func checkLockCopies(pass *Pass, info *types.Info, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch d := n.(type) {
 		case *ast.FuncDecl:
-			checkFieldListCopies(pass, d.Recv)
-			checkFieldListCopies(pass, d.Type.Params)
-			checkFieldListCopies(pass, d.Type.Results)
+			checkFieldListCopies(pass, info, d.Recv)
+			checkFieldListCopies(pass, info, d.Type.Params)
+			checkFieldListCopies(pass, info, d.Type.Results)
 		case *ast.FuncLit:
-			checkFieldListCopies(pass, d.Type.Params)
-			checkFieldListCopies(pass, d.Type.Results)
+			checkFieldListCopies(pass, info, d.Type.Params)
+			checkFieldListCopies(pass, info, d.Type.Results)
 		case *ast.AssignStmt:
 			for i, rhs := range d.Rhs {
-				if !copiesLockValue(pass, rhs) {
+				if !copiesLockValue(info, rhs) {
 					continue
 				}
 				lhs := "_"
@@ -109,7 +99,7 @@ func checkLockCopies(pass *Pass, file *ast.File) {
 			}
 		case *ast.RangeStmt:
 			if d.Value != nil {
-				if elem := rangeElemType(pass.TypeOf(d.X)); elem != nil && containsLock(elem) {
+				if elem := rangeElemType(info.TypeOf(d.X)); elem != nil && containsLock(elem) {
 					pass.Reportf(d.Value.Pos(), "range value %s copies a sync lock each iteration; range over indices or pointers", types.ExprString(d.Value))
 				}
 			}
@@ -118,12 +108,12 @@ func checkLockCopies(pass *Pass, file *ast.File) {
 	})
 }
 
-func checkFieldListCopies(pass *Pass, fl *ast.FieldList) {
+func checkFieldListCopies(pass *Pass, info *types.Info, fl *ast.FieldList) {
 	if fl == nil {
 		return
 	}
 	for _, f := range fl.List {
-		t := pass.TypeOf(f.Type)
+		t := info.TypeOf(f.Type)
 		if t == nil {
 			continue
 		}
@@ -139,13 +129,13 @@ func checkFieldListCopies(pass *Pass, fl *ast.FieldList) {
 // copiesLockValue reports whether evaluating e yields a by-value copy
 // of an existing lock-containing value. Composite literals and calls
 // construct fresh values and are fine.
-func copiesLockValue(pass *Pass, e ast.Expr) bool {
+func copiesLockValue(info *types.Info, e ast.Expr) bool {
 	switch ast.Unparen(e).(type) {
 	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
 	default:
 		return false
 	}
-	t := pass.TypeOf(e)
+	t := info.TypeOf(e)
 	if t == nil {
 		return false
 	}
@@ -202,41 +192,38 @@ func containsLock1(t types.Type, seen map[types.Type]bool) bool {
 
 // --- rule 2: pairing --------------------------------------------------
 
-func checkLockPairing(pass *Pass, body *ast.BlockStmt) {
+func checkLockPairing(pass *Pass, n *FuncNode) {
 	type counts struct {
 		firstLock token.Pos
 		locks     int
 		unlocks   int
 	}
-	perKey := map[string]*counts{} // key + "/" + mode
+	perKey := map[string]*counts{} // rendered receiver + "/" + mode
 	var order []string
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // separate function, analyzed on its own
-		}
-		call, ok := n.(*ast.CallExpr)
+	n.inspect(func(x ast.Node) bool {
+		call, ok := x.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		op, ok := asMutexOp(pass, call)
+		recv, write, acquire, ok := mutexCall(n.Unit.Info, call)
 		if !ok {
 			return true
 		}
 		mode := "r"
-		if op.write {
+		if write {
 			mode = "w"
 		}
-		k := op.key + "/" + mode
+		k := types.ExprString(recv) + "/" + mode
 		c := perKey[k]
 		if c == nil {
 			c = &counts{}
 			perKey[k] = c
 			order = append(order, k)
 		}
-		if op.acquire {
+		if acquire {
 			c.locks++
 			if c.firstLock == token.NoPos {
-				c.firstLock = op.pos
+				c.firstLock = call.Pos()
 			}
 		} else {
 			c.unlocks++
@@ -253,181 +240,5 @@ func checkLockPairing(pass *Pass, body *ast.BlockStmt) {
 			pass.Reportf(c.firstLock, "%s of %s without a matching %s in the same function; defer the unlock (or //lint:ignore lockdiscipline <reason> for cross-function helpers)",
 				name, k[:len(k)-2], uname)
 		}
-	}
-}
-
-// --- rule 3: double-lock on a path -----------------------------------
-
-// lockScanner walks statement lists tracking which write-mutexes are
-// held. Branch results merge by intersection, and a branch that
-// terminates (return/break/continue/panic) contributes nothing to the
-// fall-through state — so `if x { mu.Unlock(); return }` does not
-// release the fall-through path.
-type lockScanner struct {
-	pass *Pass
-}
-
-// scanStmts processes stmts, mutating held (key → position of the
-// acquiring Lock). It reports whether the statement list definitely
-// terminates (cannot fall through).
-func (sc *lockScanner) scanStmts(stmts []ast.Stmt, held map[string]token.Position) bool {
-	for _, s := range stmts {
-		if sc.scanStmt(s, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func (sc *lockScanner) scanStmt(s ast.Stmt, held map[string]token.Position) bool {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			sc.scanCall(call, held)
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.BlockStmt:
-		return sc.scanStmts(st.List, held)
-	case *ast.LabeledStmt:
-		return sc.scanStmt(st.Stmt, held)
-	case *ast.IfStmt:
-		thenHeld := copyHeld(held)
-		thenTerm := sc.scanStmts(st.Body.List, thenHeld)
-		elseHeld := copyHeld(held)
-		elseTerm := false
-		if st.Else != nil {
-			elseTerm = sc.scanStmt(st.Else, elseHeld)
-		}
-		switch {
-		case thenTerm && elseTerm && st.Else != nil:
-			return true
-		case thenTerm:
-			replaceHeld(held, elseHeld)
-		case elseTerm:
-			replaceHeld(held, thenHeld)
-		default:
-			replaceHeld(held, intersectHeld(thenHeld, elseHeld))
-		}
-	case *ast.ForStmt:
-		bodyHeld := copyHeld(held)
-		sc.scanStmts(st.Body.List, bodyHeld)
-		replaceHeld(held, intersectHeld(held, bodyHeld))
-	case *ast.RangeStmt:
-		bodyHeld := copyHeld(held)
-		sc.scanStmts(st.Body.List, bodyHeld)
-		replaceHeld(held, intersectHeld(held, bodyHeld))
-	case *ast.SwitchStmt:
-		sc.scanClauses(st.Body, held, hasDefaultClause(st.Body))
-	case *ast.TypeSwitchStmt:
-		sc.scanClauses(st.Body, held, hasDefaultClause(st.Body))
-	case *ast.SelectStmt:
-		sc.scanClauses(st.Body, held, true)
-	case *ast.DeferStmt:
-		// Deferred unlocks run at return; they satisfy pairing but do
-		// not release the lock for subsequent statements.
-	case *ast.GoStmt:
-		// Separate goroutine, separate discipline.
-	case *ast.AssignStmt:
-		// Mutex ops hidden in assignment RHS calls are vanishingly
-		// rare (Lock returns nothing); skip.
-	}
-	return false
-}
-
-func (sc *lockScanner) scanCall(call *ast.CallExpr, held map[string]token.Position) {
-	op, ok := asMutexOp(sc.pass, call)
-	if !ok {
-		return
-	}
-	if !op.write {
-		return // shared RLocks may legitimately nest
-	}
-	if op.acquire {
-		if prev, locked := held[op.key]; locked {
-			sc.pass.Reportf(op.pos, "Lock of %s while already held on this path (locked at line %d); this deadlocks", op.key, prev.Line)
-			return
-		}
-		held[op.key] = sc.pass.Fset.Position(op.pos)
-	} else {
-		delete(held, op.key)
-	}
-}
-
-// scanClauses merges switch/select clause bodies by intersection. When
-// the construct has no default (exhaustive=false) the unchanged entry
-// state is one of the possibilities.
-func (sc *lockScanner) scanClauses(body *ast.BlockStmt, held map[string]token.Position, exhaustive bool) {
-	var results []map[string]token.Position
-	if !exhaustive {
-		results = append(results, copyHeld(held))
-	}
-	for _, clause := range body.List {
-		var list []ast.Stmt
-		switch c := clause.(type) {
-		case *ast.CaseClause:
-			list = c.Body
-		case *ast.CommClause:
-			list = c.Body
-		default:
-			continue
-		}
-		ch := copyHeld(held)
-		if !sc.scanStmts(list, ch) {
-			results = append(results, ch)
-		}
-	}
-	if len(results) == 0 {
-		// Every clause terminates; keep entry state for the (dead)
-		// fall-through rather than inventing one.
-		return
-	}
-	merged := results[0]
-	for _, r := range results[1:] {
-		merged = intersectHeld(merged, r)
-	}
-	replaceHeld(held, merged)
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, clause := range body.List {
-		if c, ok := clause.(*ast.CaseClause); ok && c.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-func copyHeld(h map[string]token.Position) map[string]token.Position {
-	out := make(map[string]token.Position, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
-func intersectHeld(a, b map[string]token.Position) map[string]token.Position {
-	out := make(map[string]token.Position)
-	for k, v := range a {
-		if _, ok := b[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func replaceHeld(dst, src map[string]token.Position) {
-	for k := range dst {
-		if _, ok := src[k]; !ok {
-			delete(dst, k)
-		}
-	}
-	for k, v := range src {
-		dst[k] = v
 	}
 }

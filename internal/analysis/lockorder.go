@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -35,10 +36,10 @@ import (
 // locks), as are deferred calls (they run at return, after the
 // deferred unlocks this repo pairs them with).
 var LockOrderAnalyzer = &Analyzer{
-	Name:       "lockorder",
-	Doc:        "whole-program mutex acquisition-order cycles and re-acquiring a held mutex through a call chain",
-	SkipTests:  true,
-	RunProgram: runLockOrder,
+	Name:      "lockorder",
+	Doc:       "whole-program mutex acquisition-order cycles and re-acquiring a held mutex through a call chain",
+	SkipTests: true,
+	Run:       runLockOrder,
 }
 
 // A lockSite is one static acquisition of an identified mutex.
@@ -54,45 +55,55 @@ type heldCall struct {
 	held    []lockSite // sorted by key
 }
 
-// A lockSummary is one function's local lock behavior.
+// A lockSummary is one function's local lock behavior, from the one
+// branch-aware held-lock walk (lockSummarizer) both lock checks read.
 type lockSummary struct {
 	acquires map[string]lockSite // first local acquisition per key
 	pairs    [][2]lockSite       // [A held, B acquired] in-function order edges
 	calls    []heldCall
+	relocks  []relock
 }
 
-func runLockOrder(pass *ProgramPass) {
-	prog := pass.Prog
-	summaries := make(map[*FuncNode]*lockSummary, len(prog.Nodes))
-	for _, n := range prog.Nodes {
-		if n.Test {
-			continue
-		}
-		summaries[n] = summarizeLocks(prog, n)
+// A relock is a Lock of a receiver the path already holds — the
+// in-function double lock lockdiscipline reports. Receivers compare as
+// rendered ("a.mu" vs "b.mu"), not by lockorder's per-field identity,
+// so two values of one type never collide.
+type relock struct {
+	pos  token.Pos
+	recv string
+	held token.Pos // the Lock that acquired it
+}
+
+// lockSummary returns n's summary, computed on first use.
+func (p *Program) lockSummary(n *FuncNode) *lockSummary {
+	s := p.locks[n]
+	if s == nil {
+		s = summarizeLocks(p, n)
+		p.locks[n] = s
 	}
+	return s
+}
+
+// runLockOrder ignores test functions entirely: a test that locks
+// out of order contributes no edges, and its may-acquire set stays
+// empty for callers.
+func runLockOrder(pass *Pass) {
+	prog := pass.Prog
 
 	// Fixed point: may[f] = f's local acquisitions ∪ may[callees].
-	const mayPrefix = "lockorder.may:"
-	may := func(n *FuncNode) map[string]lockSite {
-		m, _ := pass.Facts.GetKey(mayPrefix + n.Key).(map[string]lockSite)
-		return m
-	}
+	may := make(map[*FuncNode]map[string]lockSite)
 	prog.FixedPoint(func(n *FuncNode) []*FuncNode {
-		sum := summaries[n]
-		if sum == nil {
+		if n.Test {
 			return nil
 		}
-		cur := may(n)
-		next := make(map[string]lockSite, len(cur))
-		for k, v := range sum.acquires {
-			next[k] = v
-		}
+		cur := may[n]
+		next := maps.Clone(prog.lockSummary(n).acquires)
 		for _, cs := range n.Calls {
 			if cs.Go {
 				continue
 			}
 			for _, c := range cs.Callees {
-				for k, v := range may(c) {
+				for k, v := range may[c] {
 					if _, ok := next[k]; !ok {
 						next[k] = v
 					}
@@ -102,7 +113,7 @@ func runLockOrder(pass *ProgramPass) {
 		if len(next) == len(cur) {
 			return nil
 		}
-		pass.Facts.SetKey(mayPrefix+n.Key, next)
+		may[n] = next
 		return []*FuncNode{n}
 	})
 
@@ -127,17 +138,17 @@ func runLockOrder(pass *ProgramPass) {
 	}
 
 	for _, n := range prog.Nodes {
-		sum := summaries[n]
-		if sum == nil {
+		if n.Test {
 			continue
 		}
+		sum := prog.lockSummary(n)
 		for _, pr := range sum.pairs {
 			addEdge(pr[0], pr[1], pr[1].pos, "")
 		}
 		for _, hc := range sum.calls {
 			reported := false
 			for _, c := range hc.callees {
-				acq := may(c)
+				acq := may[c]
 				if acq == nil {
 					continue
 				}
@@ -148,14 +159,10 @@ func runLockOrder(pass *ProgramPass) {
 							c.Name, h.key.Display, prog.Fset.Position(site.pos))
 					}
 				}
-				keys := make([]string, 0, len(acq))
-				for k := range acq {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
+				acquired := sortedSites(acq)
 				for _, h := range hc.held {
-					for _, k := range keys {
-						addEdge(h, lockSite{key: stateKey{Key: k, Display: acq[k].key.Display}}, hc.pos, c.Name)
+					for _, to := range acquired {
+						addEdge(h, to, hc.pos, c.Name)
 					}
 				}
 			}
@@ -205,148 +212,107 @@ type orderEdge struct {
 	via string // callee display name, "" for in-function edges
 }
 
-// stronglyConnected returns the SCCs of the order graph with each
-// component and the component list deterministically sorted.
+// stronglyConnected returns the SCCs of the order graph (Tarjan's
+// algorithm) with each component and the component list
+// deterministically sorted. Recursion depth is bounded by the number of
+// distinct mutexes.
 func stronglyConnected(edges map[string]map[string]orderEdge) [][]string {
-	nodes := make([]string, 0, len(edges))
-	nodeSet := make(map[string]bool)
-	add := func(k string) {
-		if !nodeSet[k] {
-			nodeSet[k] = true
-			nodes = append(nodes, k)
-		}
-	}
+	nodes := make(map[string]bool)
 	for from, tos := range edges {
-		add(from)
+		nodes[from] = true
 		for to := range tos {
-			add(to)
+			nodes[to] = true
 		}
 	}
-	sort.Strings(nodes)
-
-	succ := func(k string) []string {
-		tos := make([]string, 0, len(edges[k]))
-		for to := range edges[k] {
-			tos = append(tos, to)
-		}
-		sort.Strings(tos)
-		return tos
-	}
-
-	// Iterative Tarjan.
 	index := make(map[string]int)
 	low := make(map[string]int)
 	onStack := make(map[string]bool)
 	var stack []string
 	var sccs [][]string
-	next := 0
-
-	type frame struct {
-		v    string
-		succ []string
-		i    int
-	}
-	for _, root := range nodes {
-		if _, seen := index[root]; seen {
-			continue
+	var visit func(v string)
+	visit = func(v string) {
+		index[v], low[v] = len(index), len(index)
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range sortedKeys(edges[v]) {
+			if _, seen := index[w]; !seen {
+				visit(w)
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
+			}
 		}
-		frames := []frame{{v: root, succ: succ(root)}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(f.succ) {
-				w := f.succ[f.i]
-				f.i++
-				if _, seen := index[w]; !seen {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w, succ: succ(w)})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
+		if low[v] != index[v] {
+			return
+		}
+		var comp []string
+		for {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			onStack[w] = false
+			comp = append(comp, w)
+			if w == v {
+				break
 			}
-			if low[f.v] == index[f.v] {
-				var comp []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == f.v {
-						break
-					}
-				}
-				sort.Strings(comp)
-				sccs = append(sccs, comp)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[f.v] < low[parent.v] {
-					low[parent.v] = low[f.v]
-				}
-			}
+		}
+		sort.Strings(comp)
+		sccs = append(sccs, comp)
+	}
+	for _, v := range sortedKeys(nodes) {
+		if _, seen := index[v]; !seen {
+			visit(v)
 		}
 	}
 	sort.Slice(sccs, func(i, j int) bool { return sccs[i][0] < sccs[j][0] })
 	return sccs
 }
 
-// --- local summary ----------------------------------------------------
-
-// mutexWriteOp classifies call as a write-mode mutex operation
-// (Lock/Unlock on sync.Mutex or sync.RWMutex, including embedded
-// promotions) and resolves the mutex's identity.
-func mutexWriteOp(u *Unit, fset *token.FileSet, call *ast.CallExpr) (key stateKey, acquire, ok bool) {
-	fn, sel := methodOf(u.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return stateKey{}, false, false
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return stateKey{}, false, false
-	}
-	rt := recv.Type()
-	if p, isPtr := rt.(*types.Pointer); isPtr {
-		rt = p.Elem()
-	}
-	named, isNamed := rt.(*types.Named)
-	if !isNamed {
-		return stateKey{}, false, false
-	}
-	if n := named.Obj().Name(); n != "Mutex" && n != "RWMutex" {
-		return stateKey{}, false, false
-	}
-	switch fn.Name() {
-	case "Lock", "Unlock":
-	default:
-		return stateKey{}, false, false // RLock/RUnlock/TryLock: no write ordering
-	}
-	k, kok := stateKeyOf(u.Info, fset, sel.X)
-	if !kok {
-		pos := fset.Position(call.Pos())
-		k = stateKey{
-			Key:     fmt.Sprintf("mutex@%s:%d", pos.Filename, pos.Line),
-			Display: types.ExprString(sel.X),
-		}
-	}
-	return k, fn.Name() == "Lock", true
+	sort.Strings(keys)
+	return keys
 }
 
-// summarizeLocks computes the node's local lock summary with the same
-// branch-aware held tracking lockdiscipline uses: branches merge by
-// intersection, terminated branches contribute nothing, so the summary
-// under-reports rather than inventing held sets.
+// --- local summary ----------------------------------------------------
+
+// summarizeLocks computes the node's local lock summary with
+// branch-aware held tracking: branches merge by intersection,
+// terminated branches contribute nothing, so the summary under-reports
+// rather than inventing held sets.
 func summarizeLocks(prog *Program, n *FuncNode) *lockSummary {
 	sc := &lockSummarizer{prog: prog, node: n, sum: &lockSummary{acquires: make(map[string]lockSite)}}
-	sc.stmts(n.Body.List, map[string]lockSite{})
+	sc.stmts(n.Body.List, &heldLocks{byKey: map[string]lockSite{}, byRecv: map[string]token.Pos{}})
 	return sc.sum
+}
+
+// heldLocks is the write locks held on the current path, both by mutex
+// identity (lockorder's key, which merges instances) and by rendered
+// receiver (lockdiscipline's key, which does not).
+type heldLocks struct {
+	byKey  map[string]lockSite
+	byRecv map[string]token.Pos
+}
+
+func (h *heldLocks) clone() *heldLocks {
+	return &heldLocks{maps.Clone(h.byKey), maps.Clone(h.byRecv)}
+}
+
+// meet keeps what both paths hold.
+func (h *heldLocks) meet(o *heldLocks) *heldLocks {
+	return &heldLocks{intersect(h.byKey, o.byKey), intersect(h.byRecv, o.byRecv)}
+}
+
+func intersect[V any](a, b map[string]V) map[string]V {
+	out := make(map[string]V)
+	for k, v := range a {
+		if _, ok := b[k]; ok {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 type lockSummarizer struct {
@@ -355,7 +321,7 @@ type lockSummarizer struct {
 	sum  *lockSummary
 }
 
-func (sc *lockSummarizer) stmts(list []ast.Stmt, held map[string]lockSite) bool {
+func (sc *lockSummarizer) stmts(list []ast.Stmt, held *heldLocks) bool {
 	for _, s := range list {
 		if sc.stmt(s, held) {
 			return true
@@ -364,9 +330,9 @@ func (sc *lockSummarizer) stmts(list []ast.Stmt, held map[string]lockSite) bool 
 	return false
 }
 
-// stmt processes one statement, mutating held; it reports whether the
+// stmt processes one statement, updating held; it reports whether the
 // statement definitely terminates the enclosing list.
-func (sc *lockSummarizer) stmt(s ast.Stmt, held map[string]lockSite) bool {
+func (sc *lockSummarizer) stmt(s ast.Stmt, held *heldLocks) bool {
 	switch st := s.(type) {
 	case *ast.ExprStmt:
 		sc.expr(st.X, held)
@@ -413,9 +379,9 @@ func (sc *lockSummarizer) stmt(s ast.Stmt, held map[string]lockSite) bool {
 			sc.stmt(st.Init, held)
 		}
 		sc.expr(st.Cond, held)
-		thenHeld := copySites(held)
+		thenHeld := held.clone()
 		thenTerm := sc.stmts(st.Body.List, thenHeld)
-		elseHeld := copySites(held)
+		elseHeld := held.clone()
 		elseTerm := false
 		if st.Else != nil {
 			elseTerm = sc.stmt(st.Else, elseHeld)
@@ -424,11 +390,11 @@ func (sc *lockSummarizer) stmt(s ast.Stmt, held map[string]lockSite) bool {
 		case thenTerm && elseTerm && st.Else != nil:
 			return true
 		case thenTerm:
-			replaceSites(held, elseHeld)
+			*held = *elseHeld
 		case elseTerm:
-			replaceSites(held, thenHeld)
+			*held = *thenHeld
 		default:
-			replaceSites(held, intersectSites(thenHeld, elseHeld))
+			*held = *thenHeld.meet(elseHeld)
 		}
 	case *ast.ForStmt:
 		if st.Init != nil {
@@ -437,17 +403,17 @@ func (sc *lockSummarizer) stmt(s ast.Stmt, held map[string]lockSite) bool {
 		if st.Cond != nil {
 			sc.expr(st.Cond, held)
 		}
-		bodyHeld := copySites(held)
+		bodyHeld := held.clone()
 		sc.stmts(st.Body.List, bodyHeld)
 		if st.Post != nil {
 			sc.stmt(st.Post, bodyHeld)
 		}
-		replaceSites(held, intersectSites(held, bodyHeld))
+		*held = *held.meet(bodyHeld)
 	case *ast.RangeStmt:
 		sc.expr(st.X, held)
-		bodyHeld := copySites(held)
+		bodyHeld := held.clone()
 		sc.stmts(st.Body.List, bodyHeld)
-		replaceSites(held, intersectSites(held, bodyHeld))
+		*held = *held.meet(bodyHeld)
 	case *ast.SwitchStmt:
 		if st.Init != nil {
 			sc.stmt(st.Init, held)
@@ -479,10 +445,13 @@ func (sc *lockSummarizer) stmt(s ast.Stmt, held map[string]lockSite) bool {
 	return false
 }
 
-func (sc *lockSummarizer) clauses(body *ast.BlockStmt, held map[string]lockSite, exhaustive bool) {
-	var results []map[string]lockSite
+// clauses merges switch/select clause bodies by intersection. When the
+// construct has no default (exhaustive=false) the unchanged entry state
+// is one of the possibilities.
+func (sc *lockSummarizer) clauses(body *ast.BlockStmt, held *heldLocks, exhaustive bool) {
+	var results []*heldLocks
 	if !exhaustive {
-		results = append(results, copySites(held))
+		results = append(results, held.clone())
 	}
 	for _, clause := range body.List {
 		var list []ast.Stmt
@@ -497,52 +466,52 @@ func (sc *lockSummarizer) clauses(body *ast.BlockStmt, held map[string]lockSite,
 		default:
 			continue
 		}
-		ch := copySites(held)
+		ch := held.clone()
 		if !sc.stmts(list, ch) {
 			results = append(results, ch)
 		}
 	}
 	if len(results) == 0 {
-		return
+		return // every clause terminates; keep the entry state
 	}
 	merged := results[0]
 	for _, r := range results[1:] {
-		merged = intersectSites(merged, r)
+		merged = merged.meet(r)
 	}
-	replaceSites(held, merged)
+	*held = *merged
+}
+
+func hasDefaultClause(body *ast.BlockStmt) bool {
+	for _, clause := range body.List {
+		if c, ok := clause.(*ast.CaseClause); ok && c.List == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // expr walks e in evaluation order, updating held at mutex operations
 // and recording calls made with locks held.
-func (sc *lockSummarizer) expr(e ast.Expr, held map[string]lockSite) {
+func (sc *lockSummarizer) expr(e ast.Expr, held *heldLocks) {
 	switch x := e.(type) {
 	case nil:
 	case *ast.CallExpr:
 		for _, a := range x.Args {
 			sc.expr(a, held)
 		}
-		if key, acquire, ok := mutexWriteOp(sc.node.Unit, sc.prog.Fset, x); ok {
-			if acquire {
-				site := lockSite{key: key, pos: x.Pos()}
-				for _, h := range sortedSites(held) {
-					sc.sum.pairs = append(sc.sum.pairs, [2]lockSite{h, site})
-				}
-				if _, seen := sc.sum.acquires[key.Key]; !seen {
-					sc.sum.acquires[key.Key] = site
-				}
-				held[key.Key] = site
-			} else {
-				delete(held, key.Key)
+		if recv, write, acquire, ok := mutexCall(sc.node.Unit.Info, x); ok {
+			if write { // shared RLocks may legitimately nest
+				sc.lockOp(x, recv, acquire, held)
 			}
 			return
 		}
 		sc.expr(x.Fun, held)
-		if len(held) > 0 {
+		if len(held.byKey) > 0 {
 			if cs := sc.prog.SiteFor(x); cs != nil && len(cs.Callees) > 0 {
 				sc.sum.calls = append(sc.sum.calls, heldCall{
 					pos:     x.Pos(),
 					callees: cs.Callees,
-					held:    sortedSites(held),
+					held:    sortedSites(held.byKey),
 				})
 			}
 		}
@@ -580,44 +549,43 @@ func (sc *lockSummarizer) expr(e ast.Expr, held map[string]lockSite) {
 	}
 }
 
-func sortedSites(held map[string]lockSite) []lockSite {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
+// lockOp applies one write-mode Lock or Unlock of recv to held.
+func (sc *lockSummarizer) lockOp(call *ast.CallExpr, recv ast.Expr, acquire bool, held *heldLocks) {
+	info, fset := sc.node.Unit.Info, sc.prog.Fset
+	key, ok := stateKeyOf(info, fset, recv)
+	if !ok {
+		pos := fset.Position(call.Pos())
+		key = stateKey{
+			Key:     fmt.Sprintf("mutex@%s:%d", pos.Filename, pos.Line),
+			Display: types.ExprString(recv),
+		}
 	}
-	sort.Strings(keys)
+	name := types.ExprString(recv)
+	if !acquire {
+		delete(held.byKey, key.Key)
+		delete(held.byRecv, name)
+		return
+	}
+	site := lockSite{key: key, pos: call.Pos()}
+	for _, h := range sortedSites(held.byKey) {
+		sc.sum.pairs = append(sc.sum.pairs, [2]lockSite{h, site})
+	}
+	if _, seen := sc.sum.acquires[key.Key]; !seen {
+		sc.sum.acquires[key.Key] = site
+	}
+	held.byKey[key.Key] = site
+	if first, locked := held.byRecv[name]; locked {
+		sc.sum.relocks = append(sc.sum.relocks, relock{pos: call.Pos(), recv: name, held: first})
+	} else {
+		held.byRecv[name] = call.Pos()
+	}
+}
+
+func sortedSites(held map[string]lockSite) []lockSite {
+	keys := sortedKeys(held)
 	out := make([]lockSite, len(keys))
 	for i, k := range keys {
 		out[i] = held[k]
 	}
 	return out
-}
-
-func copySites(h map[string]lockSite) map[string]lockSite {
-	out := make(map[string]lockSite, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
-func intersectSites(a, b map[string]lockSite) map[string]lockSite {
-	out := make(map[string]lockSite)
-	for k, v := range a {
-		if _, ok := b[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func replaceSites(dst, src map[string]lockSite) {
-	for k := range dst {
-		if _, ok := src[k]; !ok {
-			delete(dst, k)
-		}
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // MetricsDisciplineAnalyzer enforces the observability layer's
@@ -40,93 +39,76 @@ var descConstructors = map[string]bool{
 
 var observeMethods = map[string]bool{"Observe": true, "ObserveDuration": true}
 
-// pkgPathHasSuffix reports whether path is suffix or ends in /suffix.
-func pkgPathHasSuffix(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
+func runMetricsDiscipline(pass *Pass) {
+	for _, u := range pass.Prog.Units {
+		if !inPkg(u.Path, metricsPkgSuffix) {
+			for _, file := range u.Files {
+				checkMetricsFile(pass, u.Info, file)
+			}
+		}
+	}
 }
 
-func runMetricsDiscipline(pass *Pass) {
-	if pkgPathHasSuffix(strings.TrimSuffix(pass.PkgPath, ".test"), metricsPkgSuffix) {
-		return
-	}
-	for _, file := range pass.Files {
-		// Runtime registration: a New*Desc call reachable only by
-		// executing a function other than init.
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fd.Name.Name == "init" && fd.Recv == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if path, name, ok := pkgFunc(pass.Info, call); ok &&
-					pkgPathHasSuffix(path, metricsPkgSuffix) && descConstructors[name] {
-					pass.Reportf(call.Pos(), "metrics.%s called at runtime; register descriptors in a package-level var or init so the catalog is identical for every run", name)
-				}
-				return true
-			})
+func checkMetricsFile(pass *Pass, info *types.Info, file *ast.File) {
+	// Runtime registration: a New*Desc call reachable only by
+	// executing a function other than init.
+	for _, decl := range file.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
 		}
-
-		// Wall-clock timings flowing into the observability layer.
-		ast.Inspect(file, func(n ast.Node) bool {
+		if fd.Name.Name == "init" && fd.Recv == nil {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if fn, _ := methodOf(pass.Info, call); fn != nil && observeMethods[fn.Name()] &&
-				fn.Pkg() != nil && pkgPathHasSuffix(fn.Pkg().Path(), metricsPkgSuffix) {
-				reportWallTimedArgs(pass, call, fn.Name())
-			}
-			if path, name, ok := pkgFunc(pass.Info, call); ok &&
-				pkgPathHasSuffix(path, tracePkgSuffix) && name == "New" {
-				for _, arg := range call.Args {
-					if isSimWallClock(pass.TypeOf(arg)) {
-						pass.Reportf(arg.Pos(), "trace.New given sim.WallClock; spans must be timed on the virtual clock so durations stay seed-deterministic")
-					}
-				}
+			if path, name, ok := pkgFunc(info, call); ok &&
+				inPkg(path, metricsPkgSuffix) && descConstructors[name] {
+				pass.Reportf(call.Pos(), "metrics.%s called at runtime; register descriptors in a package-level var or init so the catalog is identical for every run", name)
 			}
 			return true
 		})
 	}
+
+	// Wall-clock timings flowing into the observability layer.
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if fn, _ := methodOf(info, call); fn != nil && observeMethods[fn.Name()] &&
+			fn.Pkg() != nil && inPkg(fn.Pkg().Path(), metricsPkgSuffix) {
+			reportWallTimedArgs(pass, info, call, fn.Name())
+		}
+		if path, name, ok := pkgFunc(info, call); ok &&
+			inPkg(path, tracePkgSuffix) && name == "New" {
+			for _, arg := range call.Args {
+				if isSimWallClock(info.TypeOf(arg)) {
+					pass.Reportf(arg.Pos(), "trace.New given sim.WallClock; spans must be timed on the virtual clock so durations stay seed-deterministic")
+				}
+			}
+		}
+		return true
+	})
 }
 
 // reportWallTimedArgs flags time.Now / time.Since calls anywhere in
 // the arguments of an Observe / ObserveDuration call.
-func reportWallTimedArgs(pass *Pass, call *ast.CallExpr, method string) {
+func reportWallTimedArgs(pass *Pass, info *types.Info, call *ast.CallExpr, method string) {
 	for _, arg := range call.Args {
 		ast.Inspect(arg, func(n ast.Node) bool {
 			inner, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if path, name, ok := pkgFunc(pass.Info, inner); ok && path == "time" && (name == "Now" || name == "Since") {
+			if path, name, ok := pkgFunc(info, inner); ok && path == "time" && (name == "Now" || name == "Since") {
 				pass.Reportf(call.Pos(), "%s fed from time.%s reads the wall clock; derive metric timings from the sim clock so values stay seed-deterministic", method, name)
 				return false
 			}
 			return true
 		})
 	}
-}
-
-// isSimWallClock reports whether t is sim.WallClock (or a pointer to
-// it) from this module's simulation substrate.
-func isSimWallClock(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "WallClock" && obj.Pkg() != nil && pkgPathHasSuffix(obj.Pkg().Path(), simPkgSuffix)
 }

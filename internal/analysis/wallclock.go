@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // WallClockAnalyzer forbids reading the wall clock or the global
 // math/rand source outside the sanctioned packages (internal/sim and
@@ -43,17 +40,6 @@ var sanctionedPkgSuffixes = []string{
 	"internal/serve",
 }
 
-// sanctionedPkg reports whether pkgPath is on the wall-clock
-// sanctioned list.
-func sanctionedPkg(pkgPath string) bool {
-	for _, suffix := range sanctionedPkgSuffixes {
-		if pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix) {
-			return true
-		}
-	}
-	return false
-}
-
 var wallTimeFuncs = map[string]bool{
 	"Now": true, "Since": true, "Sleep": true, "Until": true,
 	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
@@ -66,26 +52,28 @@ var randConstructors = map[string]bool{
 }
 
 func runWallClock(pass *Pass) {
-	if sanctionedPkg(pass.PkgPath) {
-		return
-	}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+	for _, u := range pass.Prog.Units {
+		if inPkg(u.Path, sanctionedPkgSuffixes...) {
+			continue
+		}
+		for _, file := range u.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				path, name, ok := pkgFunc(u.Info, call)
+				if !ok {
+					return true
+				}
+				switch {
+				case path == "time" && wallTimeFuncs[name]:
+					pass.Reportf(call.Pos(), "time.%s reads the wall clock; use sim.Clock so runs stay seed-deterministic", name)
+				case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[name]:
+					pass.Reportf(call.Pos(), "global rand.%s draws from the process-wide source; use a seeded sim.RNG stream", name)
+				}
 				return true
-			}
-			path, name, ok := pkgFunc(pass.Info, call)
-			if !ok {
-				return true
-			}
-			switch {
-			case path == "time" && wallTimeFuncs[name]:
-				pass.Reportf(call.Pos(), "time.%s reads the wall clock; use sim.Clock so runs stay seed-deterministic", name)
-			case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[name]:
-				pass.Reportf(call.Pos(), "global rand.%s draws from the process-wide source; use a seeded sim.RNG stream", name)
-			}
-			return true
-		})
+			})
+		}
 	}
 }
