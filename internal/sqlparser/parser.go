@@ -407,6 +407,9 @@ func (p *parser) parseLiteral() (value.Value, error) {
 			if err != nil {
 				return value.Value{}, p.errf("bad float %q", t.text)
 			}
+			if f == 0 {
+				f = 0 // -0.0 would render as "-0", which re-parses as the integer 0
+			}
 			return value.NewFloat(f), nil
 		}
 		i, err := strconv.ParseInt(t.text, 10, 64)
@@ -694,10 +697,11 @@ func (p *parser) parseCreateTable() (Statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			typeTok := p.next()
+			typeTok := p.peek()
 			if typeTok.kind != tokIdent && typeTok.kind != tokKeyword {
 				return nil, p.errf("expected type for column %s", colName)
 			}
+			p.next()
 			kind, err := value.ParseKind(typeTok.text)
 			if err != nil {
 				return nil, p.errf("column %s: %v", colName, err)
