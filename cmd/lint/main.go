@@ -1,9 +1,9 @@
 // Command lint runs the repo's determinism-and-correctness analyzers
-// (internal/analysis) over the module. The suite has two tiers: five
-// per-unit checks (maporder, wallclock, errcompare, lockdiscipline,
-// metricsdiscipline) and three interprocedural checks that run over
-// the whole-module call graph (lockorder, detflow, leakcheck). It is
-// part of tier-1 verify via `make lint`.
+// (internal/analysis) over the module: eight checks (maporder,
+// wallclock, errcompare, lockdiscipline, metricsdiscipline, lockorder,
+// detflow, leakcheck), each run once over one whole-module program —
+// its packages, its functions and the call graph the last three
+// follow. It is part of tier-1 verify via `make lint`.
 //
 // Usage:
 //

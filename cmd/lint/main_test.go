@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"autoindex/internal/analysis"
 )
 
 func TestModuleRel(t *testing.T) {
@@ -47,5 +51,32 @@ func TestJSONOutputShape(t *testing.T) {
 	}
 	if len(diags) != 0 {
 		t.Errorf("unexpected findings in internal/sim: %v", diags)
+	}
+}
+
+// TestArchitectureCheckTable keeps the check table in ARCHITECTURE.md's
+// "Static analysis" section naming exactly the checks the suite runs.
+func TestArchitectureCheckTable(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "ARCHITECTURE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n## Static analysis\n")
+	if !ok {
+		t.Fatal(`ARCHITECTURE.md has no "## Static analysis" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z]+)` \\|").FindAllStringSubmatch(section, -1) {
+		documented = append(documented, m[1])
+	}
+	var suite []string
+	for _, a := range analysis.Analyzers() {
+		suite = append(suite, a.Name)
+	}
+	slices.Sort(documented)
+	slices.Sort(suite)
+	if !slices.Equal(documented, suite) {
+		t.Errorf("ARCHITECTURE.md check table lists %v, analysis.Analyzers() has %v", documented, suite)
 	}
 }
