@@ -37,7 +37,8 @@ check: build test lint
 # and the control plane's micro-service loops vs. concurrent injectors —
 # including the chaos property/determinism tests those packages carry.
 # The engine's differential suite (fault-injected DDL vs. concurrent
-# build paths) runs under race too. Part of tier-1 verify.
+# build paths) runs under race too, and so does its concurrent mixed
+# load: sessions planning against the per-table index lists at once. Part of tier-1 verify.
 # The metrics registry and the tracer join the list: their whole point
 # is lock-free (atomic) updates from many workers at once.
 # The serving path (wire protocol + session layer) is concurrency by
@@ -45,7 +46,7 @@ check: build test lint
 # packages run their full suites under race.
 race:
 	$(GO) test -race -count=1 ./internal/fleet ./internal/telemetry ./internal/controlplane ./internal/faults ./internal/metrics ./internal/trace ./internal/serve ./internal/wire
-	$(GO) test -race -count=1 -run 'Differential' ./internal/engine
+	$(GO) test -race -count=1 -run 'Differential|Concurrent' ./internal/engine
 
 vet:
 	$(GO) vet ./...
@@ -165,7 +166,7 @@ loc:
 # The ratchet on that number: fails when `make loc` exceeds LOC_MAX, the
 # last design PR's result. Lowering it is part of every design PR;
 # raising it needs a sentence in CHANGES.md saying what the lines buy.
-LOC_MAX = 29743
+LOC_MAX = 29742
 
 loc-gate:
 	@n=$$($(MAKE) -s loc); if [ $$n -gt $(LOC_MAX) ]; then \

@@ -36,7 +36,7 @@ func (d *Database) Clone(name string) *Database {
 		}
 		c.tables[k] = nt
 	}
-	for k, ix := range d.indexes {
+	for _, ix := range d.indexes {
 		nix := &indexData{
 			def:       ix.def.Clone(),
 			tree:      btree.New(btree.DefaultOrder),
@@ -49,7 +49,7 @@ func (d *Database) Clone(name string) *Database {
 			nix.tree.Insert(cloneKey(e.Key), e.Payload.Clone())
 			return true
 		})
-		c.indexes[k] = nix
+		c.putIndex(nix)
 	}
 	for k, st := range d.colStat {
 		c.colStat[k] = st // stats objects are treated as immutable once built

@@ -232,6 +232,40 @@ func (d *Database) compileSort(n *optimizer.Node, meter *executor.Meter) (execut
 	return &executor.Sort{Child: src, Less: less, Meter: meter}, lay, nil
 }
 
+// starColumns expands SELECT * under n: each FROM table's declared
+// columns in FROM order — the access nodes left to right — each found by
+// name in lay, whatever order the access path laid them out in (a
+// covering entry holds its keys, includes, then the locator).
+func (d *Database) starColumns(n *optimizer.Node, lay *layout, idxs []int, out *layout) ([]int, error) {
+	if len(n.Children) > 0 {
+		var err error
+		for _, c := range n.Children {
+			if idxs, err = d.starColumns(c, lay, idxs, out); err != nil {
+				return nil, err
+			}
+		}
+		return idxs, nil
+	}
+	t := d.tables[strings.ToLower(n.Table)]
+	if t == nil {
+		return nil, fmt.Errorf("engine: unknown table %q", n.Table)
+	}
+	// A table layout holds the columns where the output puts them, so
+	// that guess is tried before a search.
+	alias, start := strings.ToLower(n.Alias), len(idxs)
+	for k, c := range t.def.Columns {
+		i := start + k
+		if i >= len(lay.cols) || lay.cols[i].alias != alias || !strings.EqualFold(lay.cols[i].name, c.Name) {
+			if i = lay.find(alias, c.Name); i < 0 {
+				return nil, fmt.Errorf("engine: column %s.%s not in row layout", n.Alias, c.Name)
+			}
+		}
+		idxs = append(idxs, i)
+		out.cols = append(out.cols, lay.cols[i])
+	}
+	return idxs, nil
+}
+
 // compileProject builds the projection. For a consumer that keeps its
 // rows each is a new row; otherwise every row is written into one buffer.
 func (d *Database) compileProject(n *optimizer.Node, meter *executor.Meter, keep bool) (executor.Source, *layout, error) {
@@ -244,12 +278,8 @@ func (d *Database) compileProject(n *optimizer.Node, meter *executor.Meter, keep
 	for _, it := range n.Items {
 		switch {
 		case it.Star:
-			for i, c := range childLay.cols {
-				if c.name == ridColName {
-					continue
-				}
-				idxs = append(idxs, i)
-				outLay.cols = append(outLay.cols, c)
+			if idxs, err = d.starColumns(n.Children[0], childLay, idxs, outLay); err != nil {
+				return nil, nil, err
 			}
 		case it.Agg != sqlparser.AggNone:
 			idx := childLay.find("", it.SQL())

@@ -10,6 +10,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -352,6 +353,9 @@ func (d *Database) ExecCount() int64 {
 // noteSchemaChange resets volatile DMV state, as DDL does in SQL Server.
 func (d *Database) noteSchemaChange() {
 	d.schemaChanges++
+	for _, t := range d.tables {
+		t.infos.Store(nil) // a definition may have changed in place
+	}
 	d.miDMV.Reset()
 	d.costCache.Invalidate(costcache.SchemaChange)
 }
@@ -365,6 +369,39 @@ type tableData struct {
 	// clustered holds the full rows keyed by primary key.
 	clustered *btree.Tree
 	rowCount  int64
+	// indexes are the table's secondary indexes, sorted by name: the
+	// optimizer breaks cost ties by candidate order, and DML charges
+	// maintenance per index in this order (float addition is not
+	// associative, so map order would make measured CPU wobble).
+	indexes []*indexData
+	// infos caches what Indexes answers for this list. A change to the
+	// list or to a definition in it drops it; a reader rebuilds it once an
+	// index tree's height, leaf count or size has moved.
+	infos atomic.Pointer[[]optimizer.IndexInfo]
+}
+
+// addIndex files ix in the table's name-sorted list, a fresh slice: a
+// holder of the old one never sees it change.
+func (t *tableData) addIndex(ix *indexData) {
+	t.indexes = append(slices.Clip(t.indexes), ix)
+	slices.SortFunc(t.indexes, func(a, b *indexData) int { return strings.Compare(a.def.Name, b.def.Name) })
+	t.infos.Store(nil)
+}
+
+// putIndex installs ix under its name and in its table's list; removeIndex
+// drops the named index from both. Callers hold d.mu.
+func (d *Database) putIndex(ix *indexData) {
+	d.indexes[strings.ToLower(ix.def.Name)] = ix
+	d.tables[strings.ToLower(ix.def.Table)].addIndex(ix)
+}
+
+func (d *Database) removeIndex(name string) {
+	if ix := d.indexes[strings.ToLower(name)]; ix != nil {
+		delete(d.indexes, strings.ToLower(name))
+		t := d.tables[strings.ToLower(ix.def.Table)]
+		t.indexes = slices.DeleteFunc(slices.Clone(t.indexes), func(x *indexData) bool { return x == ix })
+		t.infos.Store(nil)
+	}
 }
 
 // pkOrdinals resolves the primary-key columns to row ordinals; a write
@@ -401,6 +438,12 @@ type indexData struct {
 	inclOrds  []int
 	createdAt time.Time
 	sizeBytes int64
+}
+
+// resolve sets the key and included columns' ordinals in t, as fresh
+// slices: plans may still hold the old ones.
+func (ix *indexData) resolve(t *schema.Table) {
+	ix.keyOrds, ix.inclOrds = t.Ordinals(ix.def.KeyColumns), t.Ordinals(ix.def.IncludedColumns)
 }
 
 // keyFor returns the tree key of row's entry: the index key columns, then
@@ -442,35 +485,51 @@ func (d *Database) Table(name string) (optimizer.TableInfo, bool) {
 	}, true
 }
 
-// Indexes implements optimizer.Catalog. The result is sorted by index
-// name: the optimizer breaks cost ties by candidate order, so handing it
-// map-iteration order would make plan choice (and everything downstream —
-// measured costs, noise draws, recommendations) vary run to run.
+// Indexes implements optimizer.Catalog from the table's name-sorted
+// index list, answering the cached list while every tree in it keeps its
+// shape.
 func (d *Database) Indexes(table string) []optimizer.IndexInfo {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	var out []optimizer.IndexInfo
-	for _, ix := range d.indexes {
-		if !strings.EqualFold(ix.def.Table, table) {
-			continue
-		}
-		out = append(out, optimizer.IndexInfo{
-			Def:       ix.def,
-			Height:    ix.tree.Height(),
-			LeafPages: int64(ix.tree.LeafCount()),
-			RowCount:  int64(ix.tree.Len()),
-		})
+	t := d.tables[strings.ToLower(table)]
+	if t == nil || len(t.indexes) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Def.Name < out[j].Def.Name })
+	if c := t.infos.Load(); c != nil && slices.EqualFunc(*c, t.indexes, sameShape) {
+		return *c
+	}
+	out := make([]optimizer.IndexInfo, len(t.indexes))
+	for i, ix := range t.indexes {
+		out[i] = ix.info()
+	}
+	t.infos.Store(&out)
 	return out
+}
+
+// info is ix as the optimizer sees it.
+func (ix *indexData) info() optimizer.IndexInfo {
+	return optimizer.IndexInfo{
+		Def:       ix.def,
+		KeyOrds:   ix.keyOrds,
+		InclOrds:  ix.inclOrds,
+		Height:    ix.tree.Height(),
+		LeafPages: int64(ix.tree.LeafCount()),
+		RowCount:  int64(ix.tree.Len()),
+	}
+}
+
+// sameShape reports whether info still holds the shape of ix's tree.
+func sameShape(info optimizer.IndexInfo, ix *indexData) bool {
+	return info.Height == ix.tree.Height() && info.LeafPages == int64(ix.tree.LeafCount()) && info.RowCount == int64(ix.tree.Len())
 }
 
 // ColumnStats implements optimizer.Catalog, lazily refreshing stale
 // statistics with a sampled rebuild.
 func (d *Database) ColumnStats(table, column string) (*stats.ColumnStats, bool) {
-	key := statKey(table, column)
 	d.mu.RLock()
-	st, ok := d.colStat[key]
+	// statKey spelled out: a concatenation used only as a map key is
+	// built on the stack.
+	st, ok := d.colStat[strings.ToLower(table)+"."+strings.ToLower(column)]
 	var rowCount int64
 	if t, tok := d.tables[strings.ToLower(table)]; tok {
 		rowCount = t.rowCount
@@ -614,6 +673,7 @@ func (d *Database) MarkIndexHinted(name string) error {
 		return fmt.Errorf("engine: no index %q", name)
 	}
 	ix.def.Hinted = true
+	d.tables[strings.ToLower(ix.def.Table)].infos.Store(nil)
 	return nil
 }
 

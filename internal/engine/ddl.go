@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -149,12 +148,7 @@ func (d *Database) CreateIndexWithReport(def schema.IndexDef, opts IndexBuildOpt
 		createdAt: d.clock.Now(),
 		sizeBytes: sizeBytes,
 	}
-	for _, c := range def.KeyColumns {
-		ix.keyOrds = append(ix.keyOrds, t.def.ColumnIndex(c))
-	}
-	for _, c := range def.IncludedColumns {
-		ix.inclOrds = append(ix.inclOrds, t.def.ColumnIndex(c))
-	}
+	ix.resolve(t.def)
 	insert := func(row value.Row, loc value.Key) {
 		k, p := ix.entryFor(row, loc)
 		ix.tree.Insert(k, p)
@@ -170,7 +164,7 @@ func (d *Database) CreateIndexWithReport(def schema.IndexDef, opts IndexBuildOpt
 			return true
 		})
 	}
-	d.indexes[strings.ToLower(def.Name)] = ix
+	d.putIndex(ix)
 	d.noteSchemaChange()
 	d.mu.Unlock()
 
@@ -234,7 +228,7 @@ func (d *Database) DropIndex(name string, opts DropIndexOptions) error {
 	reg.Histogram(descLockWaitMillis).ObserveDuration(waited)
 	defer release()
 	d.mu.Lock()
-	delete(d.indexes, strings.ToLower(name))
+	d.removeIndex(name)
 	d.noteSchemaChange()
 	d.mu.Unlock()
 	d.usage.Forget(name)
@@ -264,17 +258,11 @@ func (d *Database) DropColumn(table, column string) error {
 			return fmt.Errorf("engine: cannot drop primary key column %q", column)
 		}
 	}
-	// Scan indexes in sorted key order so both the cascade drop order
-	// and which index an ErrColumnInUse names are deterministic.
-	ixKeys := make([]string, 0, len(d.indexes))
-	for k := range d.indexes {
-		ixKeys = append(ixKeys, k)
-	}
-	sort.Strings(ixKeys)
+	// Scan the table's name-sorted indexes so both the cascade drop
+	// order and which index an ErrColumnInUse names are deterministic.
 	var toDrop []string
-	for _, k := range ixKeys {
-		ix := d.indexes[k]
-		if strings.EqualFold(ix.def.Table, table) && ix.def.HasColumn(column) {
+	for _, ix := range t.indexes {
+		if ix.def.HasColumn(column) {
 			if !ix.def.AutoCreated {
 				d.mu.Unlock()
 				return fmt.Errorf("%w: index %s", ErrColumnInUse, ix.def.Name)
@@ -284,7 +272,7 @@ func (d *Database) DropColumn(table, column string) error {
 	}
 	// Cascade: force-drop the auto-created indexes.
 	for _, n := range toDrop {
-		delete(d.indexes, strings.ToLower(n))
+		d.removeIndex(n)
 		d.usage.Forget(n)
 	}
 	// Remove the column from rows and metadata.
@@ -317,25 +305,10 @@ func (d *Database) DropColumn(table, column string) error {
 	forked := cloneTableDef(t.def)
 	forked.Columns = newCols
 	t.def = forked
-	// Remaining indexes reference ordinals; rebuild their ordinal maps.
-	for _, ix := range d.indexes {
-		if !strings.EqualFold(ix.def.Table, table) {
-			continue
-		}
-		ix.keyOrds = ix.keyOrds[:0]
-		for _, c := range ix.def.KeyColumns {
-			ix.keyOrds = append(ix.keyOrds, t.def.ColumnIndex(c))
-		}
-		ix.inclOrds = ix.inclOrds[:0]
-		for _, c := range ix.def.IncludedColumns {
-			ix.inclOrds = append(ix.inclOrds, t.def.ColumnIndex(c))
-		}
-	}
-	// Rebuild surviving indexes' trees since payload ordinals shifted.
-	for _, ix := range d.indexes {
-		if !strings.EqualFold(ix.def.Table, table) {
-			continue
-		}
+	// Remaining indexes reference ordinals; rebuild their ordinal maps
+	// and their trees, since payload ordinals shifted.
+	for _, ix := range t.indexes {
+		ix.resolve(t.def)
 		repl := btree.New(btree.DefaultOrder)
 		reinsert := func(row value.Row, loc value.Key) {
 			k, p := ix.entryFor(row, loc)
@@ -384,18 +357,12 @@ func (d *Database) RenameColumn(table, oldName, newName string) error {
 		d.mu.Unlock()
 		return fmt.Errorf("engine: column %q already exists in table %q", newName, table)
 	}
-	// Scan indexes in sorted key order so the cascade drop order is
+	// Scan the table's name-sorted indexes so the cascade drop order is
 	// deterministic (same discipline as DropColumn).
-	ixKeys := make([]string, 0, len(d.indexes))
-	for k := range d.indexes {
-		ixKeys = append(ixKeys, k)
-	}
-	sort.Strings(ixKeys)
 	var toDrop []string
 	var toRename []*indexData
-	for _, k := range ixKeys {
-		ix := d.indexes[k]
-		if strings.EqualFold(ix.def.Table, table) && ix.def.HasColumn(oldName) {
+	for _, ix := range t.indexes {
+		if ix.def.HasColumn(oldName) {
 			if ix.def.AutoCreated {
 				toDrop = append(toDrop, ix.def.Name)
 			} else {
@@ -404,7 +371,7 @@ func (d *Database) RenameColumn(table, oldName, newName string) error {
 		}
 	}
 	for _, n := range toDrop {
-		delete(d.indexes, strings.ToLower(n))
+		d.removeIndex(n)
 		d.usage.Forget(n)
 	}
 	renameIn := func(cols []string) {

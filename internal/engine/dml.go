@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"autoindex/internal/executor"
@@ -11,22 +10,6 @@ import (
 	"autoindex/internal/storage"
 	"autoindex/internal/value"
 )
-
-// tableIndexes returns the indexes on the named table in sorted-name
-// order. DML maintenance charges the meter per index, and float addition
-// is not associative — iterating the d.indexes map directly would make
-// measured CPU wobble in its last bits from run to run. Callers must
-// hold d.mu.
-func (d *Database) tableIndexes(tableName string) []*indexData {
-	var out []*indexData
-	for _, ix := range d.indexes {
-		if strings.EqualFold(ix.def.Table, tableName) {
-			out = append(out, ix)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].def.Name < out[j].def.Name })
-	return out
-}
 
 // execInsert inserts literal rows, maintaining every secondary index (the
 // maintenance cost the MI recommender famously ignores, §8.1).
@@ -39,7 +22,7 @@ func (d *Database) execInsert(s *sqlparser.InsertStmt, meter *executor.Meter) (i
 	if err != nil {
 		return 0, err
 	}
-	pk, indexes := t.pkOrdinals(), d.tableIndexes(t.def.Name)
+	pk, indexes := t.pkOrdinals(), t.indexes
 	var n int64
 	for _, vals := range s.Rows {
 		if len(vals) != len(ords) {
@@ -99,7 +82,7 @@ func coerce(v value.Value, k value.Kind) value.Value {
 }
 
 // insertRowLocked inserts one fully-formed row, given the table's
-// primary-key ordinals and its indexes in tableIndexes order; caller holds
+// primary-key ordinals and its indexes in name order; caller holds
 // d.mu.
 func (d *Database) insertRowLocked(t *tableData, pk []int, indexes []*indexData, row value.Row, meter *executor.Meter) error {
 	var loc value.Key
@@ -144,7 +127,7 @@ func (d *Database) execBulkInsert(s *sqlparser.BulkInsertStmt, meter *executor.M
 		return 0, fmt.Errorf("engine: no bulk data source %q registered", s.Source)
 	}
 	rows := src(s.RowEstimate)
-	pk, indexes := t.pkOrdinals(), d.tableIndexes(t.def.Name)
+	pk, indexes := t.pkOrdinals(), t.indexes
 	var n int64
 	for _, row := range rows {
 		if len(row) != len(t.def.Columns) {
@@ -228,7 +211,7 @@ func (d *Database) execUpdate(root *optimizer.Node, s *sqlparser.UpdateStmt, met
 	// Index maintenance. When the PK (locator) changes, every index entry
 	// moves; otherwise only the indexes holding a modified column do.
 	var affected []*indexData
-	for _, ix := range d.tableIndexes(t.def.Name) {
+	for _, ix := range t.indexes {
 		for _, a := range s.Set {
 			if pkTouched || ix.def.HasColumn(a.Column) {
 				affected = append(affected, ix)
@@ -290,7 +273,7 @@ func (d *Database) execDelete(root *optimizer.Node, s *sqlparser.DeleteStmt, met
 	if err != nil {
 		return 0, err
 	}
-	indexes := d.tableIndexes(t.def.Name)
+	indexes := t.indexes
 	var n int64
 	for _, m := range matches {
 		if t.clustered != nil {

@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -425,4 +427,64 @@ func mustParse(t *testing.T, sql string) sqlparser.Statement {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestIndexesFollowEveryChange: Indexes answers from a cached per-table
+// list, which must equal a fresh read of the indexes after every kind of
+// change — rows written and deleted, DDL, a rename, a dropped column that
+// shifts ordinals, and a hint flag set in place.
+func TestIndexesFollowEveryChange(t *testing.T) {
+	d, _ := testDB(t)
+	check := func(step string) {
+		t.Helper()
+		for _, table := range []string{"orders", "customers"} {
+			var want []optimizer.IndexInfo
+			for _, name := range sortedKeys(d.indexes) {
+				if ix := d.indexes[name]; strings.EqualFold(ix.def.Table, table) {
+					want = append(want, optimizer.IndexInfo{
+						Def: ix.def, KeyOrds: ix.keyOrds, InclOrds: ix.inclOrds, Height: ix.tree.Height(),
+						LeafPages: int64(ix.tree.LeafCount()), RowCount: int64(ix.tree.Len()),
+					})
+				}
+			}
+			if got := d.Indexes(table); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Indexes(%s) = %+v, want %+v", step, table, got, want)
+			}
+		}
+	}
+	check("no index")
+	mustExec(t, d, `CREATE INDEX ix_status ON orders (status) INCLUDE (amount)`)
+	mustExec(t, d, `CREATE INDEX ix_created ON orders (created)`)
+	check("created")
+	for i := 0; i < 400; i++ {
+		mustExec(t, d, fmt.Sprintf(`INSERT INTO orders (id, customer_id, status, amount, created) VALUES (%d, 1, 'new', 1.5, %d)`, 10000+i, i))
+	}
+	check("inserted")
+	mustExec(t, d, `DELETE FROM orders WHERE id >= 10200`)
+	check("deleted")
+	if err := d.MarkIndexHinted("ix_created"); err != nil {
+		t.Fatal(err)
+	}
+	check("hinted")
+	if err := d.RenameColumn("orders", "amount", "total"); err != nil {
+		t.Fatal(err)
+	}
+	check("renamed")
+	if err := d.DropColumn("orders", "customer_id"); err != nil {
+		t.Fatal(err)
+	}
+	check("column dropped")
+	if err := d.DropIndex("ix_status", DropIndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("index dropped")
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

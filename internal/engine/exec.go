@@ -91,7 +91,7 @@ func (d *Database) ExecStmtWith(stmt sqlparser.Statement, opts ExecOptions) (*Re
 	// Convoy accounting: a queued normal-priority exclusive lock blocks
 	// this statement's shared schema lock (§8.3).
 	blockedWait := time.Duration(0)
-	for _, tbl := range planTables(plan) {
+	for _, tbl := range sqlparser.Tables(stmt) {
 		if d.locks.SharedBlocked(tbl) {
 			d.mu.Lock()
 			d.convoyBlocked++
@@ -130,23 +130,6 @@ func (d *Database) ExecStmtWith(stmt sqlparser.Statement, opts ExecOptions) (*Re
 		reg.Histogram(optimizer.DescEstErrorAbsPct).Observe(int64(math.Round(errPct)))
 	}
 	return res, nil
-}
-
-func planTables(p *optimizer.Plan) []string {
-	seen := make(map[string]bool)
-	var out []string
-	var walk func(n *optimizer.Node)
-	walk = func(n *optimizer.Node) {
-		if n.Table != "" && !seen[strings.ToLower(n.Table)] {
-			seen[strings.ToLower(n.Table)] = true
-			out = append(out, n.Table)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(p.Root)
-	return out
 }
 
 // measure converts metered units into the execution metrics Query Store
@@ -295,7 +278,7 @@ const ridColName = "__rid"
 // tableLayout is the full-row layout for an access node: the table's
 // columns, as stored.
 func (d *Database) tableLayout(t *tableData, alias string) *layout {
-	l := &layout{}
+	l := &layout{cols: make([]layoutCol, 0, len(t.def.Columns))}
 	a := strings.ToLower(alias)
 	for _, c := range t.def.Columns {
 		l.cols = append(l.cols, layoutCol{alias: a, name: strings.ToLower(c.Name)})

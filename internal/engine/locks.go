@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -53,7 +54,12 @@ func (lm *LockManager) lock(table string) *tableLock {
 	return l
 }
 
+// lowerKey maps ASCII upper case to lower case, returning s itself when
+// it has none.
 func lowerKey(s string) string {
+	if !strings.ContainsFunc(s, func(r rune) bool { return 'A' <= r && r <= 'Z' }) {
+		return s
+	}
 	b := []byte(s)
 	for i, c := range b {
 		if c >= 'A' && c <= 'Z' {

@@ -128,12 +128,7 @@ func (sc *SharedCatalog) AddIndex(def schema.IndexDef) error {
 		tree:      btree.New(btree.DefaultOrder),
 		sizeBytes: def.EstimatedSizeBytes(t.def, t.rowCount),
 	}
-	for _, c := range def.KeyColumns {
-		ix.keyOrds = append(ix.keyOrds, t.def.ColumnIndex(c))
-	}
-	for _, c := range def.IncludedColumns {
-		ix.inclOrds = append(ix.inclOrds, t.def.ColumnIndex(c))
-	}
+	ix.resolve(t.def)
 	insert := func(row value.Row, loc value.Key) {
 		k, p := ix.entryFor(row, loc)
 		ix.tree.Insert(k, p)
@@ -256,14 +251,14 @@ func (d *Database) Stamp(sc *SharedCatalog, createdAt time.Time) {
 		d.tables[k] = t
 	}
 	for _, cx := range sc.indexes {
-		d.indexes[strings.ToLower(cx.def.Name)] = &indexData{
+		d.putIndex(&indexData{
 			def:       cx.def.Clone(),
 			tree:      cx.tree.Clone(),
 			keyOrds:   slices.Clone(cx.keyOrds),
 			inclOrds:  slices.Clone(cx.inclOrds),
 			createdAt: createdAt,
 			sizeBytes: cx.sizeBytes,
-		}
+		})
 	}
 	for k, st := range sc.stats {
 		d.colStat[k] = st

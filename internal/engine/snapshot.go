@@ -206,12 +206,8 @@ func walkIndex(c snap.Codec, ix *indexData, k string, tables map[string]*tableDa
 	if err := ix.def.Validate(t.def); err != nil {
 		r.Failf("index %q: %v", k, err)
 	}
-	for _, col := range ix.def.KeyColumns {
-		ix.keyOrds = append(ix.keyOrds, t.def.ColumnIndex(col))
-	}
-	for _, col := range ix.def.IncludedColumns {
-		ix.inclOrds = append(ix.inclOrds, t.def.ColumnIndex(col))
-	}
+	ix.resolve(t.def)
+	t.addIndex(ix)
 }
 
 // encodeTable writes one table: its definition (or a flag that it is the

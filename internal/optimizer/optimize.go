@@ -3,7 +3,8 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"sort"
+	mathbits "math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -57,16 +58,16 @@ func (o *Optimizer) Plan(stmt sqlparser.Statement) (*Plan, error) {
 	case *sqlparser.SelectStmt:
 		root, err = o.planSelect(s)
 	case *sqlparser.InsertStmt:
-		root, err = o.planInsert(s)
+		root, err = o.planInsert(s.Table, float64(len(s.Rows)))
 	case *sqlparser.UpdateStmt:
-		root, err = o.planUpdate(s)
+		root, err = o.planWrite(Node{Kind: KindUpdate, Table: s.Table, Set: s.Set}, s.Where)
 	case *sqlparser.DeleteStmt:
-		root, err = o.planDelete(s)
+		root, err = o.planWrite(Node{Kind: KindDelete, Table: s.Table}, s.Where)
 	case *sqlparser.BulkInsertStmt:
 		if o.WhatIfMode {
 			return nil, ErrWhatIfUnsupported
 		}
-		root, err = o.planBulkInsert(s)
+		root, err = o.planInsert(s.Table, float64(s.RowEstimate))
 	default:
 		return nil, fmt.Errorf("optimizer: cannot plan %T", stmt)
 	}
@@ -86,92 +87,192 @@ func (o *Optimizer) Plan(stmt sqlparser.Statement) (*Plan, error) {
 
 // ---- binding ----
 
+// boundTable is one FROM table of a plan. bind resolves each predicate's
+// column, and each column the query needs, to its ordinal in the table
+// definition once; every access path then matches key columns, tests
+// covering and prices predicates by ordinal.
 type boundTable struct {
-	ref   sqlparser.TableRef
-	info  TableInfo
-	preds []sqlparser.Predicate
-	// needed is the set of this table's columns referenced by the query.
-	// It is nil for the table an UPDATE or DELETE modifies: the write
-	// reads whole base rows, so a secondary index serves it only by
+	ref  sqlparser.TableRef
+	info TableInfo
+	// preds are the table's predicates in written order, each column
+	// rewritten to the table's binding name and canonical column name.
+	preds []boundPred
+	// needed is the set of this table's columns the query references.
+	// reads is false for the table an UPDATE or DELETE modifies: the
+	// write reads whole base rows, so a secondary index serves it only by
 	// lookups.
-	needed map[string]bool
+	needed colSet
+	reads  bool
+	pkOrds []int
+	// indexes is the catalog's list for the table, read once per plan.
+	indexes []IndexInfo
+	// used marks the predicates the key of the index being priced
+	// matched; the rest are its residual.
+	used colSet
+	// The sets and primary-key ordinals of narrow tables live here.
+	neededBuf, usedBuf [1]uint64
+	pkBuf              [2]int
 }
 
-func (b *boundTable) neededCols() []string {
-	out := make([]string, 0, len(b.needed))
-	for c := range b.needed {
-		out = append(out, c)
+// boundPred is a predicate with its column's ordinal and selectivity,
+// estimated on first use (NaN until then) and reused by every path.
+type boundPred struct {
+	sqlparser.Predicate
+	ord int
+	sel float64
+}
+
+// colSet is a set of small non-negative integers (column ordinals or
+// predicate positions), one bit each.
+type colSet []uint64
+
+func newColSet(buf []uint64, n int) colSet {
+	if words := (n + 63) / 64; words > len(buf) {
+		return make(colSet, words)
 	}
-	sort.Strings(out)
-	return out
+	return buf
 }
 
-type binding struct {
-	tables []*boundTable
-	byName map[string]*boundTable
-}
+func (s colSet) add(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s colSet) has(i int) bool { return i >= 0 && i/64 < len(s) && s[i/64]&(1<<(i%64)) != 0 }
 
-func (o *Optimizer) bind(from sqlparser.TableRef, joins []sqlparser.Join) (*binding, error) {
-	b := &binding{byName: make(map[string]*boundTable)}
-	add := func(ref sqlparser.TableRef) error {
+// binding is a plan's FROM tables in written order.
+type binding []boundTable
+
+func (o *Optimizer) bind(from sqlparser.TableRef, joins []sqlparser.Join) (binding, error) {
+	b := make(binding, 0, 1+len(joins))
+	for i := 0; i <= len(joins); i++ {
+		ref := from
+		if i > 0 {
+			ref = joins[i-1].Table
+		}
 		info, ok := o.Cat.Table(ref.Table)
 		if !ok {
-			return fmt.Errorf("optimizer: unknown table %q", ref.Table)
+			return nil, fmt.Errorf("optimizer: unknown table %q", ref.Table)
 		}
-		bt := &boundTable{ref: ref, info: info, needed: make(map[string]bool)}
-		b.tables = append(b.tables, bt)
-		key := strings.ToLower(ref.Name())
-		if _, dup := b.byName[key]; dup {
-			return fmt.Errorf("optimizer: duplicate table alias %q", ref.Name())
+		if b.lookup(ref.Name()) != nil {
+			return nil, fmt.Errorf("optimizer: duplicate table alias %q", ref.Name())
 		}
-		b.byName[key] = bt
-		if ref.Alias != "" {
-			b.byName[strings.ToLower(ref.Table)] = bt
-		}
-		return nil
-	}
-	if err := add(from); err != nil {
-		return nil, err
-	}
-	for _, j := range joins {
-		if err := add(j.Table); err != nil {
-			return nil, err
+		b = append(b, boundTable{ref: ref, info: info, reads: true, indexes: o.Cat.Indexes(ref.Table)})
+		bt := &b[len(b)-1] // b never grows past its capacity
+		bt.needed = newColSet(bt.neededBuf[:], len(info.Def.Columns))
+		bt.pkOrds = bt.pkBuf[:0]
+		for _, pk := range info.Def.PrimaryKey {
+			bt.pkOrds = append(bt.pkOrds, info.Def.ColumnIndex(pk))
 		}
 	}
 	return b, nil
 }
 
-// resolve maps a column reference to its table and canonical column name.
-func (b *binding) resolve(c sqlparser.ColRef) (*boundTable, string, error) {
+// lookup finds the table a qualifier names: the last table whose alias,
+// or whose name when it is aliased too, matches.
+func (b binding) lookup(name string) *boundTable {
+	for i := len(b) - 1; i >= 0; i-- {
+		ref := b[i].ref
+		if strings.EqualFold(ref.Name(), name) || (ref.Alias != "" && strings.EqualFold(ref.Table, name)) {
+			return &b[i]
+		}
+	}
+	return nil
+}
+
+// resolve maps a column reference to its table and the column's ordinal.
+func (b binding) resolve(c sqlparser.ColRef) (*boundTable, int, error) {
 	if c.Table != "" {
-		bt := b.byName[strings.ToLower(c.Table)]
+		bt := b.lookup(c.Table)
 		if bt == nil {
-			return nil, "", fmt.Errorf("optimizer: unknown table or alias %q", c.Table)
+			return nil, -1, fmt.Errorf("optimizer: unknown table or alias %q", c.Table)
 		}
-		idx := bt.info.Def.ColumnIndex(c.Column)
-		if idx < 0 {
-			return nil, "", fmt.Errorf("optimizer: column %q not in table %q", c.Column, bt.ref.Table)
+		ord := bt.info.Def.ColumnIndex(c.Column)
+		if ord < 0 {
+			return nil, -1, fmt.Errorf("optimizer: column %q not in table %q", c.Column, bt.ref.Table)
 		}
-		return bt, bt.info.Def.Columns[idx].Name, nil
+		return bt, ord, nil
 	}
 	var found *boundTable
-	var name string
-	for _, bt := range b.tables {
-		if idx := bt.info.Def.ColumnIndex(c.Column); idx >= 0 {
+	ord := -1
+	for i := range b {
+		if o := b[i].info.Def.ColumnIndex(c.Column); o >= 0 {
 			if found != nil {
-				return nil, "", fmt.Errorf("optimizer: ambiguous column %q", c.Column)
+				return nil, -1, fmt.Errorf("optimizer: ambiguous column %q", c.Column)
 			}
-			found = bt
-			name = bt.info.Def.Columns[idx].Name
+			found, ord = &b[i], o
 		}
 	}
 	if found == nil {
-		return nil, "", fmt.Errorf("optimizer: unknown column %q", c.Column)
+		return nil, -1, fmt.Errorf("optimizer: unknown column %q", c.Column)
 	}
-	return found, name, nil
+	return found, ord, nil
 }
 
-func (b *binding) need(bt *boundTable, col string) { bt.needed[strings.ToLower(col)] = true }
+// need resolves c and adds it to its table's needed columns.
+func (b binding) need(c sqlparser.ColRef) error {
+	bt, ord, err := b.resolve(c)
+	if err == nil {
+		bt.needed.add(ord)
+	}
+	return err
+}
+
+// column is the canonical name of the column at ord.
+func (bt *boundTable) column(ord int) string { return bt.info.Def.Columns[ord].Name }
+
+// addPred binds a predicate on the column at ord; capacity is how many
+// predicates the statement has in all.
+func (bt *boundTable) addPred(p sqlparser.Predicate, ord, capacity int) {
+	if bt.preds == nil {
+		bt.preds = make([]boundPred, 0, capacity)
+	}
+	p.Col = sqlparser.ColRef{Table: bt.ref.Name(), Column: bt.column(ord)}
+	bt.preds = append(bt.preds, boundPred{Predicate: p, ord: ord, sel: math.NaN()})
+}
+
+// visible reports whether this optimization may use ix: hypothetical
+// indexes are only visible to what-if planning.
+func (o *Optimizer) visible(ix *IndexInfo) bool { return !ix.Def.Hypothetical || o.WhatIfMode }
+
+// predSel is the selectivity of bt's i-th predicate.
+func (o *Optimizer) predSel(bt *boundTable, i int) float64 {
+	p := &bt.preds[i]
+	if p.sel != p.sel { // NaN: not yet estimated
+		p.sel = o.selectivity(bt.ref.Table, p.Predicate, p.Col.Column)
+	}
+	return p.sel
+}
+
+// predicates returns bt's predicates not in skip, in written order; nil
+// when there are none.
+func (bt *boundTable) predicates(skip colSet) []sqlparser.Predicate {
+	var out []sqlparser.Predicate
+	for i := range bt.preds {
+		if !skip.has(i) {
+			if out == nil {
+				out = make([]sqlparser.Predicate, 0, len(bt.preds)-i)
+			}
+			out = append(out, bt.preds[i].Predicate)
+		}
+	}
+	return out
+}
+
+// covers reports whether ix holds every column the query needs from bt,
+// counting the clustered key columns every non-clustered leaf entry
+// carries as the row locator (SQL Server semantics).
+func (bt *boundTable) covers(ix *IndexInfo) bool {
+	if !bt.reads {
+		return false
+	}
+	for w, bits := range bt.needed {
+		for ; bits != 0; bits &= bits - 1 {
+			o := w*64 + mathbits.TrailingZeros64(bits)
+			if !slices.Contains(ix.KeyOrds, o) && !slices.Contains(ix.InclOrds, o) &&
+				(bt.info.ClusteredHeight == 0 || !slices.Contains(bt.pkOrds, o)) {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // ---- selectivity estimation ----
 
@@ -244,130 +345,122 @@ func (o *Optimizer) distinct(table, col string) float64 {
 
 // ---- access path selection ----
 
-// accessPath describes one candidate way to read a table.
-type accessPath struct {
-	node *Node
-	// orderedBy lists the columns (lowercased) the output is sorted by
-	// (ascending), after any equality-prefix seek.
-	orderedBy []string
-	covering  bool
+// access is one priced way to read a bound table: the base scan (kind
+// SeqScan), a clustered seek (ix nil), or a seek or covering scan of a
+// secondary index. Only the cheapest is built into a Node.
+type access struct {
+	kind NodeKind
+	ix   *IndexInfo
+	// keys are the key ordinals the seek matched against: ix's, or the
+	// primary key's for a clustered seek. eq counts the key columns an
+	// equality predicate matched.
+	keys       []int
+	eq         int
+	covering   bool
+	rows, cost float64
 }
 
-// bestAccessPath chooses the cheapest access for bt given its predicates
-// and the columns the rest of the plan needs from it.
-func (o *Optimizer) bestAccessPath(bt *boundTable) accessPath {
-	paths := o.enumerateAccessPaths(bt)
-	best := paths[0]
-	for _, p := range paths[1:] {
-		if p.node.EstCost < best.node.EstCost {
-			best = p
+// bestAccess prices every way to read bt and returns the cheapest; a
+// later candidate wins only when strictly cheaper.
+func (o *Optimizer) bestAccess(bt *boundTable) access {
+	best := o.baseScan(bt)
+	if bt.info.ClusteredHeight > 0 && len(bt.pkOrds) > 0 {
+		// Only a genuine seek adds value; a covering scan of the
+		// clustered index is the base scan.
+		if a, ok := o.seek(bt, nil, bt.pkOrds, true); ok && a.kind == KindIndexSeek && a.cost < best.cost {
+			best = a
+		}
+	}
+	for i := range bt.indexes {
+		ix := &bt.indexes[i]
+		if ix.Def.Kind == schema.Clustered || !o.visible(ix) {
+			continue // the clustered index is the base scan
+		}
+		if a, ok := o.seek(bt, ix, ix.KeyOrds, bt.covers(ix)); ok && a.cost < best.cost {
+			best = a
 		}
 	}
 	return best
 }
 
-func (o *Optimizer) enumerateAccessPaths(bt *boundTable) []accessPath {
-	var paths []accessPath
-	paths = append(paths, o.baseScanPath(bt))
-	if p, ok := o.clusteredSeekPath(bt); ok {
-		paths = append(paths, p)
-	}
-	for _, ix := range o.Cat.Indexes(bt.ref.Table) {
-		if ix.Def.Kind == schema.Clustered {
-			continue // the clustered index is the base scan
-		}
-		if p, ok := o.indexPath(bt, ix); ok {
-			paths = append(paths, p)
-		}
-	}
-	return paths
-}
-
-// clusteredSeekPath seeks the clustered index when predicates match a
-// primary-key prefix. The clustered index covers every column, so the path
-// never needs a lookup.
-func (o *Optimizer) clusteredSeekPath(bt *boundTable) (accessPath, bool) {
-	if bt.info.ClusteredHeight == 0 || len(bt.info.Def.PrimaryKey) == 0 {
-		return accessPath{}, false
-	}
-	var nonKey []string
-	for _, c := range bt.info.Def.Columns {
-		inPK := false
-		for _, pk := range bt.info.Def.PrimaryKey {
-			if strings.EqualFold(pk, c.Name) {
-				inPK = true
-				break
-			}
-		}
-		if !inPK {
-			nonKey = append(nonKey, c.Name)
-		}
-	}
-	synthetic := IndexInfo{
-		Def: schema.IndexDef{
-			Name:            clusteredIndexName(bt.ref.Table),
-			Table:           bt.ref.Table,
-			Kind:            schema.Clustered,
-			KeyColumns:      append([]string(nil), bt.info.Def.PrimaryKey...),
-			IncludedColumns: nonKey,
-		},
-		Height:    bt.info.ClusteredHeight,
-		LeafPages: bt.info.DataPages,
-		RowCount:  bt.info.RowCount,
-	}
-	p, ok := o.indexPath(bt, synthetic)
-	if !ok {
-		return accessPath{}, false
-	}
-	// Only a genuine seek adds value; a covering scan of the clustered
-	// index is the base scan.
-	if p.node.Kind != KindIndexSeek {
-		return accessPath{}, false
-	}
-	return p, true
-}
-
-// baseScanPath scans the heap or clustered index, applying all predicates
-// as residual filters.
-func (o *Optimizer) baseScanPath(bt *boundTable) accessPath {
+// baseScan scans the heap or clustered index, applying all predicates as
+// residual filters.
+func (o *Optimizer) baseScan(bt *boundTable) access {
 	rows := float64(bt.info.RowCount)
-	out := rows
-	for _, p := range bt.preds {
-		out *= o.selectivity(bt.ref.Table, p, p.Col.Column)
+	clear(bt.used)
+	return access{
+		kind: KindSeqScan,
+		rows: math.Max(o.residualRows(bt, rows), 0),
+		cost: float64(bt.info.DataPages) + rows*CPUPerRow,
 	}
-	n := &Node{
-		Kind:     KindSeqScan,
-		Table:    bt.ref.Table,
-		Alias:    bt.ref.Name(),
-		Residual: bt.preds,
-		EstRows:  math.Max(out, 0),
-		EstCost:  float64(bt.info.DataPages) + rows*CPUPerRow,
-	}
-	var ordered []string
-	if bt.info.ClusteredHeight > 0 {
-		for _, pk := range bt.info.Def.PrimaryKey {
-			ordered = append(ordered, strings.ToLower(pk))
-		}
-	}
-	return accessPath{node: n, orderedBy: ordered, covering: true}
 }
 
-// indexPath builds a seek or covering-scan path over ix, if useful.
-func (o *Optimizer) indexPath(bt *boundTable, ix IndexInfo) (accessPath, bool) {
-	if ix.Def.Hypothetical && !o.WhatIfMode {
-		// Hypothetical indexes are only visible to what-if planning.
-		return accessPath{}, false
+// residualRows is rows filtered by every predicate not in bt.used.
+func (o *Optimizer) residualRows(bt *boundTable, rows float64) float64 {
+	for i := range bt.preds {
+		if !bt.used.has(i) {
+			rows *= o.predSel(bt, i)
+		}
+	}
+	return rows
+}
+
+// seek prices a seek or covering scan over an index with the given key
+// ordinals (ix nil for the clustered index), if useful.
+func (o *Optimizer) seek(bt *boundTable, ix *IndexInfo, keys []int, covering bool) (access, bool) {
+	height, leaf := bt.info.ClusteredHeight, bt.info.DataPages
+	if ix != nil {
+		height, leaf = ix.Height, ix.LeafPages
 	}
 	rows := float64(bt.info.RowCount)
-	// Partition predicates among seek-eq (key prefix), one seek-range (next
-	// key column), and residual.
-	remaining := append([]sqlparser.Predicate(nil), bt.preds...)
-	var seekEq, seekRange, residual []sqlparser.Predicate
-	matchedCols := 0
-	for _, keyCol := range ix.Def.KeyColumns {
+	eq, rng, seekSel := o.match(bt, keys, nil)
+	a := access{ix: ix, keys: keys, eq: eq, covering: covering}
+	if eq == 0 && rng == 0 {
+		// No sargable predicate: only useful as a covering scan narrower
+		// than the base table.
+		if !covering {
+			return access{}, false
+		}
+		a.kind, a.rows, a.cost = KindIndexScan, o.residualRows(bt, rows), float64(leaf)+rows*CPUPerRow
+		return a, true
+	}
+	seekRows := rows * seekSel
+	leafFrac := seekRows / math.Max(rows, 1)
+	leafPages := math.Max(1, float64(leaf)*leafFrac)
+	a.kind, a.rows = KindIndexSeek, o.residualRows(bt, seekRows)
+	a.cost = float64(height) + leafPages + seekRows*CPUPerRow
+	if !covering {
+		a.cost += seekRows * lookupHeight(bt) * RandomPageFactor
+	}
+	return a, true
+}
+
+// lookupHeight is the page cost of fetching one base row by its locator.
+func lookupHeight(bt *boundTable) float64 {
+	if bt.info.ClusteredHeight == 0 {
+		return 1 // heap RID lookup
+	}
+	return float64(bt.info.ClusteredHeight)
+}
+
+// match partitions bt's predicates over key columns as a storage engine
+// seeks: an equality predicate on each key column in turn, then at most
+// one lower and one upper bound on the next (SQL Server's storage engine
+// can seek multiple equality predicates but only one inequality, §5.2).
+// It marks the matched predicates in bt.used and returns how many of each
+// matched and their selectivity, the equality factors in key order then
+// the bounds in written order. With out set it appends the matched
+// predicates to it in the same order.
+func (o *Optimizer) match(bt *boundTable, keys []int, out *[]sqlparser.Predicate) (eq, rng int, sel float64) {
+	if bt.used == nil {
+		bt.used = newColSet(bt.usedBuf[:], len(bt.preds))
+	}
+	clear(bt.used)
+	sel = 1.0
+	for _, key := range keys {
 		found := -1
-		for i, p := range remaining {
-			if strings.EqualFold(p.Col.Column, keyCol) && p.Op.IsEquality() {
+		for i := range bt.preds {
+			if p := &bt.preds[i]; !bt.used.has(i) && p.ord == key && p.Op.IsEquality() {
 				found = i
 				break
 			}
@@ -375,147 +468,94 @@ func (o *Optimizer) indexPath(bt *boundTable, ix IndexInfo) (accessPath, bool) {
 		if found < 0 {
 			break
 		}
-		seekEq = append(seekEq, remaining[found])
-		remaining = append(remaining[:found], remaining[found+1:]...)
-		matchedCols++
+		sel = o.take(bt, found, sel, out)
+		eq++
 	}
-	// One range predicate pair on the next key column (SQL Server's storage
-	// engine can seek multiple equality predicates but only one inequality,
-	// §5.2).
-	if matchedCols < len(ix.Def.KeyColumns) {
-		next := ix.Def.KeyColumns[matchedCols]
-		kept := remaining[:0]
-		for _, p := range remaining {
-			if strings.EqualFold(p.Col.Column, next) && p.Op.IsRange() && len(seekRange) < 2 {
-				// Accept at most one lower and one upper bound.
-				dir := rangeDir(p.Op)
-				dup := false
-				for _, q := range seekRange {
-					if rangeDir(q.Op) == dir {
-						dup = true
-					}
-				}
-				if !dup {
-					seekRange = append(seekRange, p)
-					continue
-				}
+	if eq < len(keys) {
+		var bounded [2]bool // a lower, an upper bound taken
+		for i := range bt.preds {
+			p := &bt.preds[i]
+			if bt.used.has(i) || p.ord != keys[eq] || !p.Op.IsRange() {
+				continue
 			}
-			kept = append(kept, p)
-		}
-		remaining = kept
-	}
-	residual = remaining
-	covering := (bt.needed != nil || ix.Def.Kind == schema.Clustered) && coversWithLocator(ix.Def, bt.info, bt.neededCols())
-	if len(seekEq) == 0 && len(seekRange) == 0 {
-		// No sargable predicate: only useful as a covering scan narrower
-		// than the base table.
-		if !covering {
-			return accessPath{}, false
-		}
-		n := &Node{
-			Kind:     KindIndexScan,
-			Table:    bt.ref.Table,
-			Alias:    bt.ref.Name(),
-			Index:    ix.Def.Name,
-			Residual: residual,
-			EstRows:  o.filteredRows(bt, rows, nil, nil, residual),
-			EstCost:  float64(ix.LeafPages) + rows*CPUPerRow,
-		}
-		return accessPath{node: n, orderedBy: lowerAll(ix.Def.KeyColumns), covering: true}, true
-	}
-
-	seekSel := 1.0
-	for _, p := range seekEq {
-		seekSel *= o.selectivity(bt.ref.Table, p, p.Col.Column)
-	}
-	for _, p := range seekRange {
-		seekSel *= o.selectivity(bt.ref.Table, p, p.Col.Column)
-	}
-	seekRows := rows * seekSel
-	outRows := seekRows
-	for _, p := range residual {
-		outRows *= o.selectivity(bt.ref.Table, p, p.Col.Column)
-	}
-	leafFrac := seekRows / math.Max(rows, 1)
-	leafPages := math.Max(1, float64(ix.LeafPages)*leafFrac)
-	cost := float64(ix.Height) + leafPages + seekRows*CPUPerRow
-	lookup := !covering
-	if lookup {
-		lookupHeight := float64(bt.info.ClusteredHeight)
-		if lookupHeight == 0 {
-			lookupHeight = 1 // heap RID lookup
-		}
-		cost += seekRows * lookupHeight * RandomPageFactor
-	}
-	n := &Node{
-		Kind:      KindIndexSeek,
-		Table:     bt.ref.Table,
-		Alias:     bt.ref.Name(),
-		Index:     ix.Def.Name,
-		SeekEq:    seekEq,
-		SeekRange: seekRange,
-		Residual:  residual,
-		Lookup:    lookup,
-		EstRows:   outRows,
-		EstCost:   cost,
-	}
-	// Output ordering: with the equality prefix fixed, results are sorted
-	// by the remaining key columns. A range seek preserves order on its
-	// own column too.
-	ordered := lowerAll(ix.Def.KeyColumns[len(seekEq):])
-	return accessPath{node: n, orderedBy: ordered, covering: covering}, true
-}
-
-// coversWithLocator reports whether the index covers cols, counting the
-// clustered key columns that every non-clustered leaf entry implicitly
-// carries as the row locator (SQL Server semantics).
-func coversWithLocator(def schema.IndexDef, t TableInfo, cols []string) bool {
-	for _, c := range cols {
-		if def.HasColumn(c) {
-			continue
-		}
-		inPK := false
-		if t.ClusteredHeight > 0 {
-			for _, pk := range t.Def.PrimaryKey {
-				if strings.EqualFold(pk, c) {
-					inPK = true
-					break
-				}
+			if dir := rangeDir(p.Op); !bounded[dir] {
+				bounded[dir] = true
+				sel = o.take(bt, i, sel, out)
+				rng++
 			}
 		}
-		if !inPK {
-			return false
-		}
 	}
-	return true
+	return eq, rng, sel
 }
 
+// take marks bt's i-th predicate matched, appending it to out when set,
+// and returns sel times its selectivity.
+func (o *Optimizer) take(bt *boundTable, i int, sel float64, out *[]sqlparser.Predicate) float64 {
+	bt.used.add(i)
+	if out != nil {
+		*out = append(*out, bt.preds[i].Predicate)
+	}
+	return sel * o.predSel(bt, i)
+}
+
+// rangeDir is 1 for a lower bound, 0 for an upper one.
 func rangeDir(op sqlparser.CompareOp) int {
 	if op == sqlparser.OpGT || op == sqlparser.OpGE {
-		return 1 // lower bound
+		return 1
 	}
-	return -1 // upper bound
+	return 0
 }
 
-func lowerAll(cols []string) []string {
-	out := make([]string, len(cols))
-	for i, c := range cols {
-		out[i] = strings.ToLower(c)
+// node builds the plan node for a, and returns the columns (in any case)
+// its output is sorted by, ascending, after any equality-prefix seek.
+func (o *Optimizer) node(bt *boundTable, a access) (*Node, []string) {
+	n := &Node{Kind: a.kind, Table: bt.ref.Table, Alias: bt.ref.Name(), EstRows: a.rows, EstCost: a.cost}
+	keyNames := bt.info.Def.PrimaryKey
+	if a.ix != nil {
+		n.Index, keyNames = a.ix.Def.Name, a.ix.Def.KeyColumns
+	} else if a.kind != KindSeqScan {
+		n.Index = clusteredIndexName(bt.ref.Table)
 	}
-	return out
-}
-
-func (o *Optimizer) filteredRows(bt *boundTable, rows float64, eq, rng, residual []sqlparser.Predicate) float64 {
-	out := rows
-	for _, set := range [][]sqlparser.Predicate{eq, rng, residual} {
-		for _, p := range set {
-			out *= o.selectivity(bt.ref.Table, p, p.Col.Column)
+	switch a.kind {
+	case KindSeqScan:
+		clear(bt.used)
+		n.Residual = bt.predicates(bt.used)
+		if bt.info.ClusteredHeight == 0 {
+			keyNames = nil
 		}
+		return n, keyNames
+	case KindIndexScan:
+		n.Residual = bt.predicates(nil)
+		return n, keyNames
 	}
-	return out
+	var seek []sqlparser.Predicate
+	if len(bt.preds) > 0 {
+		seek = make([]sqlparser.Predicate, 0, len(bt.preds))
+	}
+	eq, rng, _ := o.match(bt, a.keys, &seek)
+	if eq > 0 {
+		n.SeekEq = seek[:eq:eq]
+	}
+	if rng > 0 {
+		n.SeekRange = seek[eq : eq+rng : eq+rng]
+	}
+	n.Residual = bt.predicates(bt.used)
+	n.Lookup = !a.covering
+	return n, keyNames[a.eq:]
 }
 
 // ---- SELECT planning ----
+
+// over allocates a node above child, the two in one allocation.
+func over(n Node, child *Node) *Node {
+	x := &struct {
+		Node
+		kids [1]*Node
+	}{Node: n}
+	x.kids[0] = child
+	x.Children = x.kids[:]
+	return &x.Node
+}
 
 func (o *Optimizer) planSelect(s *sqlparser.SelectStmt) (*Node, error) {
 	b, err := o.bind(s.From, s.Joins)
@@ -524,87 +564,72 @@ func (o *Optimizer) planSelect(s *sqlparser.SelectStmt) (*Node, error) {
 	}
 	// Distribute predicates and collect needed columns.
 	for _, p := range s.Where {
-		bt, col, err := b.resolve(p.Col)
+		bt, ord, err := b.resolve(p.Col)
 		if err != nil {
 			return nil, err
 		}
-		q := p
-		q.Col = sqlparser.ColRef{Table: bt.ref.Name(), Column: col}
-		bt.preds = append(bt.preds, q)
-		b.need(bt, col)
+		bt.addPred(p, ord, len(s.Where))
+		bt.needed.add(ord)
 	}
 	star := false
 	for _, it := range s.Items {
-		if it.Star {
-			star = true
-			continue
+		star = star || it.Star
+		if !it.Star && it.Agg != sqlparser.AggCount {
+			if err := b.need(it.Col); err != nil {
+				return nil, err
+			}
 		}
-		if it.Agg == sqlparser.AggCount {
-			continue
-		}
-		bt, col, err := b.resolve(it.Col)
-		if err != nil {
-			return nil, err
-		}
-		b.need(bt, col)
 	}
 	if star {
-		for _, bt := range b.tables {
-			for _, c := range bt.info.Def.Columns {
-				b.need(bt, c.Name)
+		for i := range b {
+			for ord := range b[i].info.Def.Columns {
+				b[i].needed.add(ord)
 			}
 		}
 	}
 	type joinCols struct {
 		left, right *boundTable
-		lcol, rcol  string
+		lord, rord  int
 	}
 	var joins []joinCols
 	for _, j := range s.Joins {
-		lbt, lcol, err := b.resolve(j.Left)
+		lbt, lord, err := b.resolve(j.Left)
 		if err != nil {
 			return nil, err
 		}
-		rbt, rcol, err := b.resolve(j.Right)
+		rbt, rord, err := b.resolve(j.Right)
 		if err != nil {
 			return nil, err
 		}
-		b.need(lbt, lcol)
-		b.need(rbt, rcol)
-		joins = append(joins, joinCols{lbt, rbt, lcol, rcol})
+		lbt.needed.add(lord)
+		rbt.needed.add(rord)
+		joins = append(joins, joinCols{lbt, rbt, lord, rord})
 	}
 	for _, g := range s.GroupBy {
-		bt, col, err := b.resolve(g)
-		if err != nil {
+		if err := b.need(g); err != nil {
 			return nil, err
 		}
-		b.need(bt, col)
 	}
 	for _, ob := range s.OrderBy {
-		bt, col, err := b.resolve(ob.Col)
-		if err != nil {
+		if err := b.need(ob.Col); err != nil {
 			return nil, err
 		}
-		b.need(bt, col)
 	}
 
 	// Access path for the first table; joins are applied in written order
 	// (left-deep), choosing nested-loops-with-seek when the inner table has
 	// a usable index on its join column, hash join otherwise.
-	first := o.bestAccessPath(b.tables[0])
-	current := first.node
-	ordered := first.orderedBy
+	current, ordered := o.node(&b[0], o.bestAccess(&b[0]))
 	for _, jc := range joins {
-		inner := jc.right
-		outerCol := sqlparser.ColRef{Table: jc.left.ref.Name(), Column: jc.lcol}
-		innerCol := sqlparser.ColRef{Table: inner.ref.Name(), Column: jc.rcol}
-		if jc.right == b.tables[0] || containsTable(current, jc.right.ref.Name()) {
+		inner, innerOrd := jc.right, jc.rord
+		outerCol := sqlparser.ColRef{Table: jc.left.ref.Name(), Column: jc.left.column(jc.lord)}
+		innerCol := sqlparser.ColRef{Table: inner.ref.Name(), Column: inner.column(jc.rord)}
+		if jc.right == &b[0] || containsTable(current, jc.right.ref.Name()) {
 			// The "right" side is already in the current subtree; swap.
-			inner = jc.left
+			inner, innerOrd = jc.left, jc.lord
 			outerCol, innerCol = innerCol, outerCol
 		}
-		joinNode := o.planJoin(current, inner, outerCol, innerCol)
-		current = joinNode
+		current = o.planJoin(current, inner, innerOrd, outerCol, innerCol)
 		ordered = nil // joins destroy base ordering in this model
 	}
 
@@ -618,31 +643,26 @@ func (o *Optimizer) planSelect(s *sqlparser.SelectStmt) (*Node, error) {
 	if len(s.GroupBy) > 0 {
 		groups := 1.0
 		for _, g := range s.GroupBy {
-			bt, col, _ := b.resolve(g)
-			if bt != nil {
-				groups *= o.distinct(bt.ref.Table, col)
+			if bt, ord, _ := b.resolve(g); bt != nil {
+				groups *= o.distinct(bt.ref.Table, bt.column(ord))
 			}
 		}
 		groups = math.Min(groups, math.Max(current.EstRows, 1))
-		agg := &Node{
-			Kind:     KindHashAgg,
-			GroupBy:  s.GroupBy,
-			Items:    s.Items,
-			Children: []*Node{current},
-			EstRows:  groups,
-			EstCost:  current.EstCost + current.EstRows*HashBuildPerRow,
-		}
-		current = agg
+		current = over(Node{
+			Kind:    KindHashAgg,
+			GroupBy: s.GroupBy,
+			Items:   s.Items,
+			EstRows: groups,
+			EstCost: current.EstCost + current.EstRows*HashBuildPerRow,
+		}, current)
 		ordered = nil
 	} else if hasAgg {
-		agg := &Node{
-			Kind:     KindScalarAgg,
-			Items:    s.Items,
-			Children: []*Node{current},
-			EstRows:  1,
-			EstCost:  current.EstCost + current.EstRows*CPUPerRow,
-		}
-		current = agg
+		current = over(Node{
+			Kind:    KindScalarAgg,
+			Items:   s.Items,
+			EstRows: 1,
+			EstCost: current.EstCost + current.EstRows*CPUPerRow,
+		}, current)
 		ordered = nil
 	}
 
@@ -650,33 +670,29 @@ func (o *Optimizer) planSelect(s *sqlparser.SelectStmt) (*Node, error) {
 	if len(s.OrderBy) > 0 && !orderSatisfied(s.OrderBy, ordered) {
 		rows := math.Max(current.EstRows, 1)
 		sortCost := rows*math.Log2(rows+1)*CPUPerCompare + rows*CPUPerRow
-		current = &Node{
-			Kind:     KindSort,
-			OrderBy:  s.OrderBy,
-			Children: []*Node{current},
-			EstRows:  current.EstRows,
-			EstCost:  current.EstCost + sortCost,
-		}
+		current = over(Node{
+			Kind:    KindSort,
+			OrderBy: s.OrderBy,
+			EstRows: current.EstRows,
+			EstCost: current.EstCost + sortCost,
+		}, current)
 	}
 	if s.Top > 0 {
 		rows := math.Min(float64(s.Top), math.Max(current.EstRows, 0))
-		current = &Node{
-			Kind:     KindTop,
-			TopN:     s.Top,
-			Children: []*Node{current},
-			EstRows:  rows,
-			EstCost:  current.EstCost + rows*CPUPerRow,
-		}
+		current = over(Node{
+			Kind:    KindTop,
+			TopN:    s.Top,
+			EstRows: rows,
+			EstCost: current.EstCost + rows*CPUPerRow,
+		}, current)
 	}
 	// Final projection.
-	current = &Node{
-		Kind:     KindProject,
-		Items:    s.Items,
-		Children: []*Node{current},
-		EstRows:  current.EstRows,
-		EstCost:  current.EstCost + current.EstRows*CPUPerRow,
-	}
-	return current, nil
+	return over(Node{
+		Kind:    KindProject,
+		Items:   s.Items,
+		EstRows: current.EstRows,
+		EstCost: current.EstCost + current.EstRows*CPUPerRow,
+	}, current), nil
 }
 
 func containsTable(n *Node, alias string) bool {
@@ -691,100 +707,73 @@ func containsTable(n *Node, alias string) bool {
 	return false
 }
 
-// planJoin joins the current subtree (outer) with bound table inner.
-func (o *Optimizer) planJoin(outer *Node, inner *boundTable, outerCol, innerCol sqlparser.ColRef) *Node {
-	outRows := joinCardinality(o, outer.EstRows, inner, innerCol.Column)
+// planJoin joins the current subtree (outer) with bound table inner on
+// the inner column at innerOrd.
+func (o *Optimizer) planJoin(outer *Node, inner *boundTable, innerOrd int, outerCol, innerCol sqlparser.ColRef) *Node {
+	innerRows := float64(inner.info.RowCount)
+	for i := range inner.preds {
+		innerRows *= o.predSel(inner, i)
+	}
+	d := math.Max(o.distinct(inner.ref.Table, innerCol.Column), 1)
+	outRows := outer.EstRows * innerRows / d
+	if outRows < 0 {
+		outRows = 0
+	}
+	matchRows := float64(inner.info.RowCount) / d
 
-	// Option 1: nested loops with an index seek on the inner join column.
-	var bestNL *Node
-	for _, ix := range o.Cat.Indexes(inner.ref.Table) {
-		if ix.Def.Hypothetical && !o.WhatIfMode {
+	// Option 1: nested loops with an index seek on the inner join column:
+	// a secondary index led by it, or the clustered index when it is the
+	// leading primary-key column. nl.ix is nil for the clustered index.
+	var nl access
+	found := false
+	for i := range inner.indexes {
+		ix := &inner.indexes[i]
+		if !o.visible(ix) || ix.Def.Kind == schema.Clustered || len(ix.KeyOrds) == 0 || ix.KeyOrds[0] != innerOrd {
 			continue
 		}
-		if ix.Def.Kind == schema.Clustered {
-			continue
-		}
-		if len(ix.Def.KeyColumns) == 0 || !strings.EqualFold(ix.Def.KeyColumns[0], innerCol.Column) {
-			continue
-		}
-		matchRows := float64(inner.info.RowCount) / math.Max(o.distinct(inner.ref.Table, innerCol.Column), 1)
-		covering := coversWithLocator(ix.Def, inner.info, inner.neededCols())
+		covering := inner.covers(ix)
 		perProbe := float64(ix.Height) + math.Max(1, matchRows/100)
 		if !covering {
-			h := float64(inner.info.ClusteredHeight)
-			if h == 0 {
-				h = 1
-			}
-			perProbe += matchRows * h * RandomPageFactor
+			perProbe += matchRows * lookupHeight(inner) * RandomPageFactor
 		}
 		// Residual predicates on the inner table are applied per probe.
-		cost := outer.EstCost + outer.EstRows*perProbe + outer.EstRows*CPUPerRow
-		innerAccess := &Node{
-			Kind:     KindIndexSeek,
-			Table:    inner.ref.Table,
-			Alias:    inner.ref.Name(),
-			Index:    ix.Def.Name,
-			Residual: inner.preds,
-			Lookup:   !covering,
-			EstRows:  matchRows,
-			EstCost:  perProbe,
-		}
-		n := &Node{
-			Kind:      KindNLJoin,
-			JoinLeft:  outerCol,
-			JoinRight: innerCol,
-			Children:  []*Node{outer, innerAccess},
-			EstRows:   outRows,
-			EstCost:   cost,
-		}
-		if bestNL == nil || n.EstCost < bestNL.EstCost {
-			bestNL = n
+		if cost := outer.EstCost + outer.EstRows*perProbe + outer.EstRows*CPUPerRow; !found || cost < nl.cost {
+			nl, found = access{ix: ix, covering: covering, rows: perProbe, cost: cost}, true
 		}
 	}
-	// Clustered-key NL: seek the clustered index when the join column is
-	// the leading primary-key column.
-	if len(inner.info.Def.PrimaryKey) > 0 && strings.EqualFold(inner.info.Def.PrimaryKey[0], innerCol.Column) && inner.info.ClusteredHeight > 0 {
-		matchRows := float64(inner.info.RowCount) / math.Max(o.distinct(inner.ref.Table, innerCol.Column), 1)
+	if len(inner.pkOrds) > 0 && inner.pkOrds[0] == innerOrd && inner.info.ClusteredHeight > 0 {
 		perProbe := float64(inner.info.ClusteredHeight) + math.Max(1, matchRows/100)
-		cost := outer.EstCost + outer.EstRows*perProbe + outer.EstRows*CPUPerRow
-		innerAccess := &Node{
-			Kind:     KindIndexSeek,
-			Table:    inner.ref.Table,
-			Alias:    inner.ref.Name(),
-			Index:    clusteredIndexName(inner.ref.Table),
-			Residual: inner.preds,
-			EstRows:  matchRows,
-			EstCost:  perProbe,
-		}
-		n := &Node{
-			Kind:      KindNLJoin,
-			JoinLeft:  outerCol,
-			JoinRight: innerCol,
-			Children:  []*Node{outer, innerAccess},
-			EstRows:   outRows,
-			EstCost:   cost,
-		}
-		if bestNL == nil || n.EstCost < bestNL.EstCost {
-			bestNL = n
+		if cost := outer.EstCost + outer.EstRows*perProbe + outer.EstRows*CPUPerRow; !found || cost < nl.cost {
+			nl, found = access{covering: true, rows: perProbe, cost: cost}, true
 		}
 	}
 
 	// Option 2: hash join, building on the inner side's best access path.
-	innerPath := o.bestAccessPath(inner)
-	hashCost := outer.EstCost + innerPath.node.EstCost +
-		innerPath.node.EstRows*HashBuildPerRow + outer.EstRows*CPUPerRow
-	hash := &Node{
-		Kind:      KindHashJoin,
-		JoinLeft:  outerCol,
-		JoinRight: innerCol,
-		Children:  []*Node{outer, innerPath.node},
-		EstRows:   outRows,
-		EstCost:   hashCost,
+	innerBest := o.bestAccess(inner)
+	hashCost := outer.EstCost + innerBest.cost + innerBest.rows*HashBuildPerRow + outer.EstRows*CPUPerRow
+	join := Node{JoinLeft: outerCol, JoinRight: innerCol, EstRows: outRows}
+	var innerNode *Node
+	if found && nl.cost < hashCost {
+		innerNode = &Node{
+			Kind:     KindIndexSeek,
+			Table:    inner.ref.Table,
+			Alias:    inner.ref.Name(),
+			Index:    clusteredIndexName(inner.ref.Table),
+			Residual: inner.predicates(nil),
+			Lookup:   !nl.covering,
+			EstRows:  matchRows,
+			EstCost:  nl.rows, // the per-probe cost
+		}
+		if nl.ix != nil {
+			innerNode.Index = nl.ix.Def.Name
+		}
+		join.Kind, join.EstCost = KindNLJoin, nl.cost
+	} else {
+		innerNode, _ = o.node(inner, innerBest)
+		join.Kind, join.EstCost = KindHashJoin, hashCost
 	}
-	if bestNL != nil && bestNL.EstCost < hash.EstCost {
-		return bestNL
-	}
-	return hash
+	join.Children = []*Node{outer, innerNode}
+	return &join
 }
 
 // clusteredIndexName is the synthetic name under which the clustered index
@@ -794,19 +783,6 @@ func clusteredIndexName(table string) string { return "PK_" + table }
 // ClusteredIndexName exposes the naming rule to the engine.
 func ClusteredIndexName(table string) string { return clusteredIndexName(table) }
 
-func joinCardinality(o *Optimizer, outerRows float64, inner *boundTable, innerCol string) float64 {
-	innerRows := float64(inner.info.RowCount)
-	for _, p := range inner.preds {
-		innerRows *= o.selectivity(inner.ref.Table, p, p.Col.Column)
-	}
-	d := math.Max(o.distinct(inner.ref.Table, innerCol), 1)
-	out := outerRows * innerRows / d
-	if out < 0 {
-		out = 0
-	}
-	return out
-}
-
 func orderSatisfied(orderBy []sqlparser.OrderItem, ordered []string) bool {
 	if len(ordered) < len(orderBy) {
 		return false
@@ -815,7 +791,7 @@ func orderSatisfied(orderBy []sqlparser.OrderItem, ordered []string) bool {
 		if ob.Desc {
 			return false // executor scans forward only
 		}
-		if strings.ToLower(ob.Col.Column) != ordered[i] {
+		if !strings.EqualFold(ob.Col.Column, ordered[i]) {
 			return false
 		}
 	}
@@ -824,140 +800,73 @@ func orderSatisfied(orderBy []sqlparser.OrderItem, ordered []string) bool {
 
 // ---- write planning ----
 
-func (o *Optimizer) realIndexes(table string) []IndexInfo {
-	var out []IndexInfo
-	for _, ix := range o.Cat.Indexes(table) {
-		if !ix.Def.Hypothetical || o.WhatIfMode {
-			out = append(out, ix)
-		}
-	}
-	return out
-}
-
-func (o *Optimizer) planInsert(s *sqlparser.InsertStmt) (*Node, error) {
-	t, ok := o.Cat.Table(s.Table)
+func (o *Optimizer) planInsert(table string, rows float64) (*Node, error) {
+	t, ok := o.Cat.Table(table)
 	if !ok {
-		return nil, fmt.Errorf("optimizer: unknown table %q", s.Table)
+		return nil, fmt.Errorf("optimizer: unknown table %q", table)
 	}
-	rows := float64(len(s.Rows))
-	return o.insertNode(t, s.Table, rows)
-}
-
-func (o *Optimizer) planBulkInsert(s *sqlparser.BulkInsertStmt) (*Node, error) {
-	t, ok := o.Cat.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("optimizer: unknown table %q", s.Table)
-	}
-	return o.insertNode(t, s.Table, float64(s.RowEstimate))
-}
-
-func (o *Optimizer) insertNode(t TableInfo, table string, rows float64) (*Node, error) {
 	baseH := float64(t.ClusteredHeight)
 	if baseH == 0 {
 		baseH = 1
 	}
-	cost := rows * baseH
-	var maint []string
-	for _, ix := range o.realIndexes(table) {
-		if ix.Def.Kind == schema.Clustered {
-			continue
-		}
-		maint = append(maint, ix.Def.Name)
-		cost += rows * float64(ix.Height) // random page touches per entry
-	}
-	cost += rows * CPUPerRow * float64(1+len(maint))
-	return &Node{
-		Kind:         KindInsert,
-		Table:        table,
-		WriteRows:    rows,
-		MaintIndexes: maint,
-		EstRows:      0,
-		EstCost:      cost,
-	}, nil
+	n := o.writeNode(Node{Kind: KindInsert, Table: table, WriteRows: rows, EstCost: rows * baseH}, o.Cat.Indexes(table))
+	return &n, nil
 }
 
-func (o *Optimizer) planUpdate(s *sqlparser.UpdateStmt) (*Node, error) {
-	access, err := o.planWriteAccess(s.Table, s.Where)
+// planWrite plans an UPDATE or DELETE, n holding its kind, table and SET
+// list: the row-identification access, then the write above it.
+func (o *Optimizer) planWrite(n Node, where []sqlparser.Predicate) (*Node, error) {
+	b, err := o.bind(sqlparser.TableRef{Table: n.Table}, nil)
 	if err != nil {
 		return nil, err
 	}
-	rows := access.EstRows
-	cost := access.EstCost + rows // base row write
-	var maint []string
-	for _, ix := range o.realIndexes(s.Table) {
-		if ix.Def.Kind == schema.Clustered {
-			continue
-		}
-		affected := false
-		for _, a := range s.Set {
-			if ix.Def.HasColumn(a.Column) {
-				affected = true
-				break
-			}
-		}
-		if affected {
-			maint = append(maint, ix.Def.Name)
-			cost += rows * 2 * float64(ix.Height) // delete + insert of the entry
-		}
-	}
-	cost += rows * CPUPerRow * float64(1+len(maint))
-	return &Node{
-		Kind:         KindUpdate,
-		Table:        s.Table,
-		Set:          s.Set,
-		WriteRows:    rows,
-		MaintIndexes: maint,
-		Children:     []*Node{access},
-		EstRows:      0,
-		EstCost:      cost,
-	}, nil
-}
-
-func (o *Optimizer) planDelete(s *sqlparser.DeleteStmt) (*Node, error) {
-	access, err := o.planWriteAccess(s.Table, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	rows := access.EstRows
-	cost := access.EstCost + rows
-	var maint []string
-	for _, ix := range o.realIndexes(s.Table) {
-		if ix.Def.Kind == schema.Clustered {
-			continue
-		}
-		maint = append(maint, ix.Def.Name)
-		cost += rows * float64(ix.Height)
-	}
-	cost += rows * CPUPerRow * float64(1+len(maint))
-	return &Node{
-		Kind:         KindDelete,
-		Table:        s.Table,
-		WriteRows:    rows,
-		MaintIndexes: maint,
-		Children:     []*Node{access},
-		EstRows:      0,
-		EstCost:      cost,
-	}, nil
-}
-
-// planWriteAccess plans the row-identification part of an UPDATE/DELETE.
-func (o *Optimizer) planWriteAccess(table string, where []sqlparser.Predicate) (*Node, error) {
-	b, err := o.bind(sqlparser.TableRef{Table: table}, nil)
-	if err != nil {
-		return nil, err
-	}
-	bt := b.tables[0]
-	bt.needed = nil
+	bt := &b[0]
+	bt.reads = false
 	for _, p := range where {
-		_, col, err := b.resolve(p.Col)
+		_, ord, err := b.resolve(p.Col)
 		if err != nil {
 			return nil, err
 		}
-		q := p
-		q.Col = sqlparser.ColRef{Table: bt.ref.Name(), Column: col}
-		bt.preds = append(bt.preds, q)
+		bt.addPred(p, ord, len(where))
 	}
-	return o.bestAccessPath(bt).node, nil
+	access, _ := o.node(bt, o.bestAccess(bt))
+	n.WriteRows, n.EstCost = access.EstRows, access.EstCost+access.EstRows // base row write
+	return over(o.writeNode(n, bt.indexes), access), nil
+}
+
+// writeNode completes a write node whose EstCost holds the base-row cost:
+// it adds the secondary indexes the write maintains — every visible one,
+// or for an UPDATE those holding a SET column — each charged per row at
+// its height (twice for an UPDATE: delete and insert of the entry), and
+// the per-row CPU of the base row and every maintained entry.
+func (o *Optimizer) writeNode(n Node, ixs []IndexInfo) Node {
+	perEntry := 1.0
+	if n.Kind == KindUpdate {
+		perEntry = 2
+	}
+	for i := range ixs {
+		ix := &ixs[i]
+		if !o.visible(ix) || ix.Def.Kind == schema.Clustered || (n.Kind == KindUpdate && !setsColumnOf(n.Set, ix.Def)) {
+			continue
+		}
+		if n.MaintIndexes == nil {
+			n.MaintIndexes = make([]string, 0, len(ixs)-i)
+		}
+		n.MaintIndexes = append(n.MaintIndexes, ix.Def.Name)
+		n.EstCost += n.WriteRows * perEntry * float64(ix.Height) // random page touches per entry
+	}
+	n.EstCost += n.WriteRows * CPUPerRow * float64(1+len(n.MaintIndexes))
+	return n
+}
+
+// setsColumnOf reports whether an assignment writes a column def holds.
+func setsColumnOf(set []sqlparser.Assignment, def schema.IndexDef) bool {
+	for _, a := range set {
+		if def.HasColumn(a.Column) {
+			return true
+		}
+	}
+	return false
 }
 
 // ---- what-if convenience ----

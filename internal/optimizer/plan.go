@@ -2,7 +2,7 @@ package optimizer
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"strings"
 
 	"autoindex/internal/sqlparser"
@@ -137,53 +137,79 @@ type Plan struct {
 	QueryHash uint64
 }
 
+// shapeWriter receives a plan's shape: as text when text is set,
+// otherwise folded straight into an FNV-1a hash.
+type shapeWriter struct {
+	text *strings.Builder
+	hash uint64
+}
+
+func (w *shapeWriter) str(s string) {
+	if w.text == nil {
+		w.hash = sqlparser.HashString(w.hash, s, false)
+	} else {
+		w.text.WriteString(s)
+	}
+}
+
+// lower writes strings.ToLower(s).
+func (w *shapeWriter) lower(s string) {
+	if w.text == nil {
+		w.hash = sqlparser.HashString(w.hash, s, true)
+	} else {
+		w.text.WriteString(strings.ToLower(s))
+	}
+}
+
 // shape serialises the plan's structure (operators, tables, indexes — not
 // literals) for hashing and explain output.
-func (n *Node) shape(b *strings.Builder, depth int) {
-	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(n.Kind.String())
+func (n *Node) shape(w *shapeWriter, depth int) {
+	for i := 0; i < depth; i++ {
+		w.str("  ")
+	}
+	w.str(n.Kind.String())
 	if n.Table != "" {
-		b.WriteString(" ")
-		b.WriteString(strings.ToLower(n.Table))
+		w.str(" ")
+		w.lower(n.Table)
 	}
 	if n.Index != "" {
-		b.WriteString(" [")
-		b.WriteString(strings.ToLower(n.Index))
-		b.WriteString("]")
+		w.str(" [")
+		w.lower(n.Index)
+		w.str("]")
 	}
 	if n.Lookup {
-		b.WriteString(" +lookup")
+		w.str(" +lookup")
 	}
 	if len(n.SeekEq)+len(n.SeekRange) > 0 {
-		b.WriteString(" seek(")
+		w.str(" seek(")
 		for i, p := range n.SeekEq {
 			if i > 0 {
-				b.WriteString(",")
+				w.str(",")
 			}
-			b.WriteString(strings.ToLower(p.Col.Column))
+			w.lower(p.Col.Column)
 		}
 		for _, p := range n.SeekRange {
-			b.WriteString(";")
-			b.WriteString(strings.ToLower(p.Col.Column))
-			b.WriteString(p.Op.String())
+			w.str(";")
+			w.lower(p.Col.Column)
+			w.str(p.Op.String())
 		}
-		b.WriteString(")")
+		w.str(")")
 	}
 	for _, m := range n.MaintIndexes {
-		b.WriteString(" maint[")
-		b.WriteString(strings.ToLower(m))
-		b.WriteString("]")
+		w.str(" maint[")
+		w.lower(m)
+		w.str("]")
 	}
-	b.WriteString("\n")
+	w.str("\n")
 	for _, c := range n.Children {
-		c.shape(b, depth+1)
+		c.shape(w, depth+1)
 	}
 }
 
 // Shape returns the plan's structural serialisation.
 func (p *Plan) Shape() string {
 	var b strings.Builder
-	p.Root.shape(&b, 0)
+	p.Root.shape(&shapeWriter{text: &b}, 0)
 	return b.String()
 }
 
@@ -213,33 +239,33 @@ func (p *Plan) Explain() string {
 	return b.String()
 }
 
-// computeHash fills PlanHash and IndexesUsed from the tree.
+// finalize fills PlanHash (FNV-1a of the shape), IndexesUsed and the
+// plan's estimates from the tree.
 func (p *Plan) finalize() {
-	h := fnv.New64a()
-	seen := make(map[string]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Index != "" && !seen[strings.ToLower(n.Index)] {
-			seen[strings.ToLower(n.Index)] = true
-			p.IndexesUsed = append(p.IndexesUsed, n.Index)
-		}
-		for _, m := range n.MaintIndexes {
-			if !seen[strings.ToLower(m)] {
-				seen[strings.ToLower(m)] = true
-				p.IndexesUsed = append(p.IndexesUsed, m)
-			}
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
+	w := shapeWriter{hash: sqlparser.FNVOffset}
 	if p.Root != nil {
-		walk(p.Root)
-		h.Write([]byte(p.Shape()))
-	}
-	p.PlanHash = h.Sum64()
-	if p.Root != nil {
+		p.collectIndexes(p.Root)
+		p.Root.shape(&w, 0)
 		p.EstCost = p.Root.EstCost
 		p.EstRows = p.Root.EstRows
+	}
+	p.PlanHash = w.hash
+}
+
+// collectIndexes appends to IndexesUsed every index n's subtree reads or
+// maintains, once each (case-insensitively), in tree order.
+func (p *Plan) collectIndexes(n *Node) {
+	p.use(n.Index)
+	for _, m := range n.MaintIndexes {
+		p.use(m)
+	}
+	for _, c := range n.Children {
+		p.collectIndexes(c)
+	}
+}
+
+func (p *Plan) use(index string) {
+	if index != "" && !slices.ContainsFunc(p.IndexesUsed, func(u string) bool { return strings.EqualFold(u, index) }) {
+		p.IndexesUsed = append(p.IndexesUsed, index)
 	}
 }

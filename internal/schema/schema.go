@@ -69,6 +69,15 @@ func (t *Table) ColumnIndex(name string) int {
 	return -1
 }
 
+// Ordinals returns the ordinal of each named column, -1 for a missing one.
+func (t *Table) Ordinals(cols []string) []int {
+	out := make([]int, len(cols))
+	for i, c := range cols {
+		out[i] = t.ColumnIndex(c)
+	}
+	return out
+}
+
 // Column returns the named column and whether it exists.
 func (t *Table) Column(name string) (Column, bool) {
 	if i := t.ColumnIndex(name); i >= 0 {
@@ -171,23 +180,14 @@ func (d IndexDef) AllColumns() []string {
 
 // HasColumn reports whether col appears anywhere in the index.
 func (d IndexDef) HasColumn(col string) bool {
-	for _, c := range d.AllColumns() {
-		if strings.EqualFold(c, col) {
-			return true
+	for _, cols := range [2][]string{d.KeyColumns, d.IncludedColumns} {
+		for _, c := range cols {
+			if strings.EqualFold(c, col) {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-// Covers reports whether the index contains every column in cols (as key or
-// include), i.e. a query touching only cols needs no key lookup.
-func (d IndexDef) Covers(cols []string) bool {
-	for _, c := range cols {
-		if !d.HasColumn(c) {
-			return false
-		}
-	}
-	return true
 }
 
 // KeyPrefixOf reports whether d's key columns are a (possibly equal) prefix

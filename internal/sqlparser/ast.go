@@ -1,10 +1,10 @@
 package sqlparser
 
 import (
-	"hash/fnv"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"autoindex/internal/schema"
 	"autoindex/internal/value"
@@ -246,6 +246,7 @@ func (s *SelectStmt) templateSQL() string { return s.render(true) }
 
 func (s *SelectStmt) render(template bool) string {
 	var b strings.Builder
+	b.Grow(64) // most statements fit: one allocation
 	b.WriteString("SELECT ")
 	if s.Top > 0 {
 		b.WriteString("TOP ")
@@ -391,6 +392,7 @@ func (s *UpdateStmt) templateSQL() string { return s.render(true) }
 
 func (s *UpdateStmt) render(template bool) string {
 	var b strings.Builder
+	b.Grow(64)
 	b.WriteString("UPDATE ")
 	b.WriteString(quoteIdent(s.Table))
 	b.WriteString(" SET ")
@@ -426,6 +428,7 @@ func (s *DeleteStmt) templateSQL() string { return s.render(true) }
 
 func (s *DeleteStmt) render(template bool) string {
 	var b strings.Builder
+	b.Grow(64)
 	b.WriteString("DELETE FROM ")
 	b.WriteString(quoteIdent(s.Table))
 	writeWhere(&b, s.Where, template)
@@ -549,10 +552,26 @@ func quoteIdents(names []string) []string {
 	return names
 }
 
-func fingerprint(s Statement) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(strings.ToLower(s.templateSQL())))
-	return h.Sum64()
+// fingerprint is the FNV-1a hash of the lower-cased template.
+func fingerprint(s Statement) uint64 { return HashString(FNVOffset, s.templateSQL(), true) }
+
+// FNVOffset is the offset basis HashString's FNV-1a hashes start from.
+const FNVOffset = 14695981039346656037
+
+// HashString extends the FNV-1a hash h by s, or by strings.ToLower(s) when
+// lower is set: an ASCII s is lowered byte by byte, not copied.
+func HashString(h uint64, s string, lower bool) uint64 {
+	if lower && strings.ContainsFunc(s, func(r rune) bool { return r >= utf8.RuneSelf }) {
+		s = strings.ToLower(s)
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if lower && 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
 // IsWrite reports whether the statement modifies data.

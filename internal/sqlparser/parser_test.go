@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -211,6 +212,27 @@ func TestFingerprintIgnoresLiterals(t *testing.T) {
 	i2 := MustParse(`INSERT INTO t (a) VALUES (1), (2), (3)`)
 	if i1.Fingerprint() != i2.Fingerprint() {
 		t.Fatal("batch size must not fragment fingerprints")
+	}
+}
+
+// TestHashStringIsFNVOfLowered: HashString folds in exactly the bytes of
+// s, or of strings.ToLower(s), as hash/fnv would, ASCII or not.
+func TestHashStringIsFNVOfLowered(t *testing.T) {
+	for _, s := range []string{"", "SELECT a FROM T", "ix_Ab [PK_t]", "ÀB_Ǆ", "İx", "Σ_ς"} {
+		for _, lower := range []bool{false, true} {
+			want := s
+			if lower {
+				want = strings.ToLower(s)
+			}
+			h := fnv.New64a()
+			h.Write([]byte(want))
+			if got := HashString(FNVOffset, s, lower); got != h.Sum64() {
+				t.Errorf("HashString(%q, lower %v) = %#x, want FNV-1a of %q %#x", s, lower, got, want, h.Sum64())
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { HashString(FNVOffset, "SELECT A FROM T", true) }); n != 0 {
+		t.Errorf("hashing an ASCII string lowered allocates %.0f times", n)
 	}
 }
 

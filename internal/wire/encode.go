@@ -36,11 +36,6 @@ func appendLenencInt(b []byte, v uint64) []byte {
 	}
 }
 
-func appendLenencBytes(b, s []byte) []byte {
-	b = appendLenencInt(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 func appendLenencString(b []byte, s string) []byte {
 	b = appendLenencInt(b, uint64(len(s)))
 	return append(b, s...)
